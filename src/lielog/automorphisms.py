@@ -29,15 +29,15 @@ from .scalars import (
     matrix_backend,
     matrix_max_abs,
     matrix_to_backend,
+    one,
     zeros_matrix,
 )
 from .tensor_algebra import (
     TruncatedTensor,
+    basis_dimension,
     is_grouplike,
     is_primitive,
     mul,
-    word_basis,
-    word_index_map,
     words_of_degree,
 )
 
@@ -185,15 +185,32 @@ class GradedAut:
         return out
 
     def to_matrix(self):
-        """Dense matrix of the action on the word basis (degree-graded order)."""
-        basis = word_basis(self.n, self.k)
-        index = word_index_map(self.n, self.k)
-        dim = len(basis)
+        """Dense matrix of the action on the word basis (degree-graded order).
+
+        With G_1 = A and G_i = u_i A, the degree-j -> degree-m block is the
+        partition sum over compositions (i_1..i_j) of m of
+        kron(G_{i_1}, ..., G_{i_j}), built here one leading part at a time:
+        B_j[m] = sum_i kron(G_i, B_{j-1}[m - i]).
+        """
+        n, k = self.n, self.k
+        gens = {1: self.A}
+        gens.update((m, blk @ self.A) for m, blk in self.u.items())
+        dim = basis_dimension(n, k)
         mat = zeros_matrix(dim, dim, self.backend)
-        for col, w in enumerate(basis):
-            img = self._word_image(w)
-            for ww, c in img.coeffs.items():
-                mat[index[ww], col] = c
+        mat[0, 0] = one(self.backend)
+        blocks = dict(gens)  # degree-1 sources, keyed by target degree
+        for j in range(1, k):
+            col = basis_dimension(n, j)
+            for m, blk in blocks.items():
+                row = basis_dimension(n, m)
+                mat[row : row + n**m, col : col + n**j] = blk
+            longer = {}
+            for i, g in gens.items():
+                for m, blk in blocks.items():
+                    if i + m < k:
+                        term = np.kron(g, blk)
+                        longer[i + m] = term if i + m not in longer else longer[i + m] + term
+            blocks = longer
         return mat
 
     # -- group structure ----------------------------------------------------
@@ -313,34 +330,8 @@ class GradedAut:
         )
 
 
-# Functional aliases matching the operation names.
-
-def apply(phi, t):
-    return phi.apply(t)
-
-
-def compose(phi, psi):
-    return phi.compose(psi)
-
-
-def inverse(phi):
-    return phi.inverse()
-
-
 def splitting(A, k, backend=None):
     return GradedAut.splitting(A, k, backend)
-
-
-def ia_decompose(phi):
-    return phi.ia_decompose()
-
-
-def is_hopf(phi, tol=None):
-    return phi.is_hopf(tol)
-
-
-def preserves_omega(phi, g, tol=None):
-    return phi.preserves_omega(g, tol)
 
 
 def gl_action_on_hom(A, f, j, backend=None):

@@ -73,6 +73,29 @@ def cmd_check(args):
     return 0
 
 
+def _unipotent_report(phi, deriv, tol):
+    """Payload and verdict for a Maclaurin logarithm, checked by exp(deriv) = phi."""
+    regen = exp_derivation(deriv)
+    exact = phi.backend == EXACT
+    if exact:
+        verified = regen == phi
+        residual = 0.0 if verified else float("nan")
+    else:
+        diff = max(
+            (regen.generator_images()[i] - phi.generator_images()[i]).max_abs()
+            for i in range(phi.n)
+        )
+        residual = float(diff)
+        verified = residual <= tol
+    payload = {
+        "derivation": jsonio.derivation_to_json(deriv),
+        "residual": residual,
+        "exact": exact,
+        "input": jsonio.aut_to_json(phi),
+    }
+    return payload, verified
+
+
 def cmd_log_aut(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
     if args.backend == EXACT:
@@ -85,41 +108,18 @@ def cmd_log_aut(args):
                 "--backend exact requires a unipotent input for log-aut: "
                 + str(exc)
             ) from exc
-        payload = {
-            "derivation": jsonio.derivation_to_json(deriv),
-            "residual": 0.0,
-            "exact": True,
-            "input": jsonio.aut_to_json(phi),
-        }
+        payload, verified = _unipotent_report(phi, deriv, args.tol)
         _write(payload, args.output)
-        return 0
+        return 0 if verified else 1
     report = ln_aut(phi, tol=args.tol, pole_tol=args.pole_tol, force=args.force)
     payload = jsonio.report_to_json(report, phi=phi)
     _write(payload, args.output)
-    return 0 if report.residual <= args.tol else 1
+    return 0 if report.verified else 1
 
 
 def cmd_log_unipotent(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
-    deriv = log_unipotent(phi)
-    regen = exp_derivation(deriv)
-    exact = phi.backend == EXACT
-    if exact:
-        verified = regen == phi
-        residual = 0.0 if verified else float("nan")
-    else:
-        diff = max(
-            (regen.generator_images()[i] - phi.generator_images()[i]).max_abs()
-            for i in range(phi.n)
-        )
-        residual = float(diff)
-        verified = residual <= args.tol
-    payload = {
-        "derivation": jsonio.derivation_to_json(deriv),
-        "residual": residual,
-        "exact": exact,
-        "input": jsonio.aut_to_json(phi),
-    }
+    payload, verified = _unipotent_report(phi, log_unipotent(phi), args.tol)
     _write(payload, args.output)
     return 0 if verified else 1
 

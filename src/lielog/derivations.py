@@ -22,7 +22,10 @@ from .scalars import (
     DimensionMismatch,
     DomainError,
     default_tol,
+    eye_matrix,
+    kron_all,
     matrices_close,
+    matrix_backend,
     matrix_max_abs,
     matrix_to_backend,
     zeros_matrix,
@@ -32,7 +35,6 @@ from .tensor_algebra import (
     basis_dimension,
     mul,
     word_basis,
-    word_index_map,
     words_of_degree,
 )
 
@@ -175,24 +177,35 @@ class GradedDerivation:
         return out
 
     def to_matrix(self):
-        basis = word_basis(self.n, self.k)
-        index = word_index_map(self.n, self.k)
-        dim = len(basis)
+        """Dense matrix of the Leibniz extension on the word basis.
+
+        The degree-j -> degree-(j+l-1) block is
+        sum_pos I^(x pos) (x) d_l (x) I^(x (j-1-pos)).
+        """
+        n, k = self.n, self.k
+        dim = basis_dimension(n, k)
         mat = zeros_matrix(dim, dim, self.backend)
-        for col, w in enumerate(basis):
-            img = self.apply(TruncatedTensor(self.n, self.k, {w: 1}, self.backend))
-            for ww, c in img.coeffs.items():
-                mat[index[ww], col] = c
+        for ell, blk in self.d.items():
+            for j in range(1, k - ell + 1):
+                m = j + ell - 1
+                row, col = basis_dimension(n, m), basis_dimension(n, j)
+                mat[row : row + n**m, col : col + n**j] = tensor_lift(blk, j)
         return mat
 
     def bracket(self, other):
-        """Commutator of derivations, via generator images."""
+        """Commutator of derivations, block by block:
+        [D, E]_m = sum_{l+j-1=m} lift_j(d_l) e_j - lift_l(e_j) d_l
+        with lift_j = tensor_lift(., j)."""
         self._check_compatible(other)
-        images = []
-        for i in range(self.n):
-            xi = TruncatedTensor.generator(self.n, self.k, i + 1, self.backend)
-            images.append(self.apply(other.apply(xi)) - other.apply(self.apply(xi)))
-        return extend(images)
+        blocks = {}
+        for ell, d_blk in self.d.items():
+            for j, e_blk in other.d.items():
+                m = ell + j - 1
+                if m >= self.k:
+                    continue
+                term = _lift_apply(d_blk, j, e_blk) - _lift_apply(e_blk, ell, d_blk)
+                blocks[m] = term if m not in blocks else blocks[m] + term
+        return GradedDerivation(self.n, self.k, blocks, self.backend)
 
     def to_complex(self):
         if self.backend == COMPLEX:
@@ -203,6 +216,29 @@ class GradedDerivation:
             {m: matrix_to_backend(b, COMPLEX) for m, b in self.d.items()},
             COMPLEX,
         )
+
+
+def tensor_lift(blk, j):
+    """lift_j(blk) = sum_pos I^(x pos) (x) blk (x) I^(x (j-1-pos)): the action on
+    H^(x j) of the derivation whose only block is blk (n^l x n)."""
+    n, backend = blk.shape[1], matrix_backend(blk)
+    return sum(
+        kron_all([eye_matrix(n**pos, backend), blk, eye_matrix(n ** (j - 1 - pos), backend)])
+        for pos in range(j)
+    )
+
+
+def _lift_apply(blk, j, x):
+    """tensor_lift(blk, j) @ x for x with n^j rows, without forming the
+    identity factors: each position contracts one mode of x with blk."""
+    n, cols = blk.shape[1], x.shape[1]
+    out = 0
+    for pos in range(j):
+        parts = x.reshape(n**pos, n, n ** (j - 1 - pos), cols)
+        # (n^pos, n^rest, cols, n^l) -> (n^pos, n^l, n^rest, cols)
+        term = np.tensordot(parts, blk, axes=([1], [1])).transpose(0, 3, 1, 2)
+        out = out + term.reshape(-1, cols)
+    return out
 
 
 def extend(images):

@@ -12,6 +12,7 @@ derivative on each block.  BCH utilities cross-check the solver.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,13 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .derivations import GradedDerivation, annihilates_omega, exp_derivation, extend
+from .derivations import (
+    GradedDerivation,
+    annihilates_omega,
+    exp_derivation,
+    extend,
+    tensor_lift,
+)
 from .scalars import (
     COMPLEX,
     EXACT,
@@ -63,13 +70,15 @@ class LogReport:
     The residual is recomputed from scratch when the report is assembled; the
     hopf/omega flags are None unless the corresponding predicate held for the
     input, in which case they record whether the conclusion held for the
-    output derivation.
+    output derivation.  The report is verified when the residual is at most
+    tol, the tolerance the solver was given.
     """
 
     input_digest: str
     verdict: SolvabilityVerdict
     derivation: GradedDerivation
     residual: float
+    tol: float
     hopf_preserved: bool | None = None
     omega_annihilated: bool | None = None
     forced: bool = False
@@ -77,7 +86,7 @@ class LogReport:
 
     @property
     def verified(self):
-        return self.residual is not None and not math.isnan(self.residual)
+        return self.residual is not None and self.residual <= self.tol
 
 
 def _digest_aut(phi):
@@ -181,26 +190,11 @@ def _degree_rows(n, m):
     return offset, offset + n**m
 
 
-def _tensor_derivation_lift(d1, m):
-    """Lift of an n x n matrix to H^(x m) as a derivation: sum over positions."""
-    n = d1.shape[0]
-    eye = np.eye(n, dtype=complex)
-    total = np.zeros((n**m, n**m), dtype=complex)
-    for pos in range(m):
-        factors = [eye] * m
-        factors[pos] = np.asarray(d1, dtype=complex)
-        block = factors[0]
-        for f in factors[1:]:
-            block = np.kron(block, f)
-        total += block
-    return total
-
-
 def _ad_operator(d1, m):
     """ad of the d1-lift on Hom(H, H^(x m)), acting on column-stacked matrices."""
     n = d1.shape[0]
-    lift = _tensor_derivation_lift(d1, m)
     d1c = np.asarray(d1, dtype=complex)
+    lift = tensor_lift(d1c, m)
     return np.kron(np.eye(n), lift) - np.kron(d1c.T, np.eye(n**m))
 
 
@@ -296,6 +290,7 @@ def ln_aut(
         verdict=verdict,
         derivation=derivation,
         residual=residual,
+        tol=tol,
         hopf_preserved=hopf_flag,
         omega_annihilated=omega_flag,
         forced=force and verdict.verdict == "inconclusive",
@@ -333,6 +328,7 @@ def _dynkin_words(order, max_y):
                     stack.append(nxt)
 
 
+@functools.lru_cache(maxsize=4096)
 def _dynkin_coefficient(word):
     """Total Dynkin coefficient of a word: the sum over all decompositions of
     the word into syllables x^r y^s of (-1)^(p-1) / (p L prod r_i! s_i!).

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lielog import jsonio
+from lielog import cli, jsonio
 from lielog.automorphisms import GradedAut
 from lielog.cli import main
 from lielog.derivations import GradedDerivation, exp_derivation
@@ -134,6 +134,21 @@ def test_log_aut_exact_backend_requires_unipotent(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_log_aut_exact_backend_recomputes_residual(tmp_path, capsys, monkeypatch):
+    phi = random_ia_hopf_aut(seeded(3), 2, 4)
+    assert not phi.is_identity(0)
+    path = tmp_path / "phi.json"
+    path.write_text(jsonio.dumps(jsonio.aut_to_json(phi)))
+    code, out = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
+    assert code == 0
+    assert json.loads(out)["residual"] == 0.0
+    # a wrong logarithm must be caught: exp(0) is the identity, not phi
+    monkeypatch.setattr(cli, "log_unipotent", lambda phi: GradedDerivation.zero(2, 4))
+    code, out = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
+    assert code == 1
+    assert math.isnan(json.loads(out)["residual"])
 
 
 def test_log_unipotent_cli(tmp_path, capsys):

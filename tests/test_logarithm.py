@@ -1,5 +1,6 @@
 """Maclaurin and extended logarithms, BCH series and kernel."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -203,6 +204,14 @@ def test_log_report_digest_and_trace():
     report = ln_aut(phi)
     assert len(report.input_digest) == 64
     assert [entry["degree"] for entry in report.trace] == [2, 3]
+
+
+def test_log_report_verified_respects_tol():
+    phi = GradedAut.splitting(np.diag([2.0, 0.5]).astype(complex), 3)
+    report = ln_aut(phi, tol=1e-9)
+    assert report.verified
+    assert not dataclasses.replace(report, residual=1e-3).verified
+    assert not dataclasses.replace(report, residual=math.nan).verified
 
 
 # -- BCH ------------------------------------------------------------------

@@ -11,10 +11,10 @@ from fractions import Fraction
 import numpy as np
 
 from lielog.automorphisms import GradedAut
-from lielog.derivations import GradedDerivation
+from lielog.derivations import GradedDerivation, extend
 from lielog.free_lie import LiePoly, lyndon_basis, lyndon_bracket_tensor
 from lielog.scalars import EXACT, eye_matrix, zeros_matrix
-from lielog.tensor_algebra import TruncatedTensor, words_of_degree
+from lielog.tensor_algebra import TruncatedTensor, word_index_map, words_of_degree
 
 
 def random_tensor(rng, n, k, backend=EXACT, density=0.4, zero_constant=False,
@@ -119,6 +119,31 @@ def random_invertible_exact(rng, n, lo=-3, hi=3):
         arr = np.array([[float(x) for x in row] for row in mat])
         if abs(np.linalg.det(arr)) > 0.5:
             return mat
+
+
+def word_by_word_matrix(op):
+    """Dense matrix of op.apply on the word basis, one basis word at a time.
+
+    The sparse-dictionary reference for the block-built to_matrix of a
+    GradedAut or GradedDerivation.
+    """
+    n, k, backend = op.n, op.k, op.backend
+    index = word_index_map(n, k)
+    mat = zeros_matrix(len(index), len(index), backend)
+    for w, col in index.items():
+        img = op.apply(TruncatedTensor(n, k, {w: 1}, backend))
+        for ww, c in img.coeffs.items():
+            mat[index[ww], col] = c
+    return mat
+
+
+def bracket_by_images(d, e):
+    """[D, E] from the generator images D(E(x_i)) - E(D(x_i)) (sparse reference)."""
+    images = []
+    for i in range(d.n):
+        xi = TruncatedTensor.generator(d.n, d.k, i + 1, d.backend)
+        images.append(d.apply(e.apply(xi)) - e.apply(d.apply(xi)))
+    return extend(images)
 
 
 def seeded(seed=0):
