@@ -19,9 +19,9 @@ from lielog import (
     conjugation_defect,
     exp_derivation,
     jordan_tensor_blocks,
-    matrix_function,
 )
 from lielog.scalars import COMPLEX, EXACT, zeros_matrix
+from lielog.spectral import phi1_matrix
 
 # Exact BCH for two IA derivations: the Dynkin series terminates and the
 # exponentials compose exactly over the rationals.
@@ -53,7 +53,7 @@ print("kernel vs series:", diff)
 
 # The kernel z/(1 - e^{-z}) acts eigenvalue-wise on the ad-operator; its
 # reciprocal (1 - e^{-z})/z is entire and evaluated singularity-free.
-print("phi1(0) block:", matrix_function("phi1", np.zeros((2, 2))).round(12))
+print("phi1(0) block:", phi1_matrix(np.zeros((2, 2))).round(12))
 
 # Conjugation identity: matrix conjugation equals the finite bracket series.
 # Two degree-2 blocks at depth 4 have a nonzero degree-3 bracket.

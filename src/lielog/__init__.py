@@ -71,12 +71,8 @@ from .magnus import (
 )
 from .spectral import (
     SolvabilityVerdict,
-    SpectralData,
     eig_unit_circle_obstruction,
-    jordan_decomposition,
     jordan_tensor_blocks,
-    matrix_exp,
-    matrix_function,
     principal_log,
 )
 

@@ -73,24 +73,13 @@ def cmd_check(args):
     return 0
 
 
-def _unipotent_report(phi, deriv, tol):
-    """Payload and verdict for a Maclaurin logarithm, checked by exp(deriv) = phi."""
-    regen = exp_derivation(deriv)
-    exact = phi.backend == EXACT
-    if exact:
-        verified = regen == phi
-        residual = 0.0 if verified else float("nan")
-    else:
-        diff = max(
-            (regen.generator_images()[i] - phi.generator_images()[i]).max_abs()
-            for i in range(phi.n)
-        )
-        residual = float(diff)
-        verified = residual <= tol
+def _unipotent_report(phi, deriv):
+    """Payload and verdict for a Maclaurin logarithm, checked by exp(deriv) == phi."""
+    verified = exp_derivation(deriv) == phi
     payload = {
         "derivation": jsonio.derivation_to_json(deriv),
-        "residual": residual,
-        "exact": exact,
+        "residual": 0.0 if verified else float("nan"),
+        "exact": True,
         "input": jsonio.aut_to_json(phi),
     }
     return payload, verified
@@ -100,15 +89,15 @@ def cmd_log_aut(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
     if args.backend == EXACT:
         # the spectral path needs complex arithmetic; exact is only
-        # meaningful for unipotent inputs, where the Maclaurin series applies
+        # meaningful for exact unipotent inputs, where the Maclaurin series applies
         try:
             deriv = log_unipotent(phi)
         except DomainError as exc:
             raise CliError(
-                "--backend exact requires a unipotent input for log-aut: "
+                "--backend exact requires an exact unipotent input for log-aut: "
                 + str(exc)
             ) from exc
-        payload, verified = _unipotent_report(phi, deriv, args.tol)
+        payload, verified = _unipotent_report(phi, deriv)
         _write(payload, args.output)
         return 0 if verified else 1
     report = ln_aut(phi, tol=args.tol, pole_tol=args.pole_tol, force=args.force)
@@ -119,7 +108,7 @@ def cmd_log_aut(args):
 
 def cmd_log_unipotent(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
-    payload, verified = _unipotent_report(phi, log_unipotent(phi), args.tol)
+    payload, verified = _unipotent_report(phi, log_unipotent(phi))
     _write(payload, args.output)
     return 0 if verified else 1
 
@@ -217,9 +206,9 @@ def build_parser():
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_log_aut)
 
-    p = sub.add_parser("log-unipotent", help="Maclaurin logarithm of a unipotent automorphism")
+    p = sub.add_parser("log-unipotent",
+                       help="exact Maclaurin logarithm of a unipotent automorphism")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_log_unipotent)
 

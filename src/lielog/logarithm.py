@@ -1,9 +1,9 @@
 """Logarithms of filtered automorphisms.
 
-Two routes are provided.  The Maclaurin logarithm handles unipotent inputs
-(degree-1 part with all eigenvalues 1) as the finite sum
--sum (id - Phi)^i / i, exactly on the rational backend.  The extended
-logarithm handles any automorphism whose degree-1 part passes the
+Two routes are provided.  The Maclaurin logarithm handles exact unipotent
+inputs (rational backend, degree-1 part with all eigenvalues 1) as the finite
+sum -sum (id - Phi)^i / i.  The extended logarithm, the only complex one,
+handles any automorphism whose degree-1 part passes the
 exponential-solvability check: it fixes the degree-1 block to the principal
 matrix logarithm and solves for the higher blocks degree by degree, inverting
 the analytic kernel (1 - e^{-z})/z of the exponential's directional
@@ -34,7 +34,7 @@ from .scalars import (
     EXACT,
     DomainError,
     KernelSingular,
-    default_tol,
+    eye_matrix,
     matrix_to_backend,
 )
 from .spectral import (
@@ -103,52 +103,46 @@ def _digest_aut(phi):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _unipotent_precondition(phi, tol):
-    """Check that every eigenvalue of the degree-1 part is 1."""
-    if phi.backend == EXACT:
-        n = phi.n
-        from .scalars import eye_matrix
-
-        nilp = phi.A - eye_matrix(n, EXACT)
-        power = nilp
-        for _ in range(n):
-            if all(x == 0 for x in power.flat):
-                return True
-            power = power @ nilp
-        return all(x == 0 for x in power.flat)
-    eigs = np.linalg.eigvals(np.asarray(phi.A, dtype=complex))
-    return bool(np.all(np.abs(eigs - 1.0) <= max(tol, 1e-8)))
+def _is_unipotent(phi):
+    """Exact test that every eigenvalue of the degree-1 part is 1."""
+    nilp = phi.A - eye_matrix(phi.n, EXACT)
+    power = nilp
+    for _ in range(phi.n):
+        if all(x == 0 for x in power.flat):
+            return True
+        power = power @ nilp
+    return all(x == 0 for x in power.flat)
 
 
-def log_unipotent(phi, verify=True, tol=None):
+def log_unipotent(phi, verify=True):
     """Maclaurin logarithm -sum_i (id - Phi)^i / i of a unipotent automorphism.
 
-    Exact on the rational backend; the series terminates because (id - Phi)
-    is nilpotent on the truncated algebra.  Raises DomainError for
-    non-unipotent inputs (use ln_aut for those).
+    Exact-only: the input must be on the rational backend, where the series
+    terminates because (id - Phi) is nilpotent on the truncated algebra.
+    Raises DomainError for complex or non-unipotent inputs; ln_aut is the
+    logarithm for those.
     """
-    tol = default_tol(phi.backend) if tol is None else tol
-    if not _unipotent_precondition(phi, tol):
+    if phi.backend != EXACT:
+        raise DomainError(
+            "log_unipotent needs an exact (rational) input; use ln_aut for "
+            "complex inputs."
+        )
+    if not _is_unipotent(phi):
         raise DomainError(
             "degree-1 part is not unipotent; the Maclaurin series does not "
             "converge. Use ln_aut for exponential-solvable inputs."
         )
-    n, k, backend = phi.n, phi.k, phi.backend
+    n, k = phi.n, phi.k
     cap = basis_dimension(n, k) + 1
     images = []
     for i in range(n):
-        v = TruncatedTensor.generator(n, k, i + 1, backend)
-        total = TruncatedTensor.zero(n, k, backend)
+        v = TruncatedTensor.generator(n, k, i + 1, EXACT)
+        total = TruncatedTensor.zero(n, k, EXACT)
         for step in range(1, cap + 1):
             v = v - phi.apply(v)  # (id - Phi)^step applied to the generator
-            if backend == EXACT:
-                if v.is_zero(0):
-                    break
-                total = total - v.scale(Fraction(1, step))
-            else:
-                if v.is_zero(1e-250):
-                    break
-                total = total - v.scale(1.0 / step)
+            if v.is_zero(0):
+                break
+            total = total - v.scale(Fraction(1, step))
         else:
             raise DomainError("Maclaurin series failed to terminate")
         images.append(total)
@@ -164,22 +158,21 @@ def _verify_derivation_property(deriv, phi):
     Compares the extension of the generator images with the direct series on
     a sample of degree-2 basis words.
     """
-    n, k, backend = phi.n, phi.k, phi.backend
+    n, k = phi.n, phi.k
     if k < 3:
         return
     sample = words_of_degree(n, 2)[: min(4, n * n)]
     cap = basis_dimension(n, k) + 1
     for w in sample:
-        v = TruncatedTensor(n, k, {w: 1}, backend)
-        total = TruncatedTensor.zero(n, k, backend)
+        v = TruncatedTensor(n, k, {w: 1}, EXACT)
+        total = TruncatedTensor.zero(n, k, EXACT)
         for step in range(1, cap + 1):
             v = v - phi.apply(v)
-            if v.is_zero(0 if backend == EXACT else 1e-250):
+            if v.is_zero(0):
                 break
-            coeff = Fraction(-1, step) if backend == EXACT else -1.0 / step
-            total = total + v.scale(coeff)
-        direct = deriv.apply(TruncatedTensor(n, k, {w: 1}, backend))
-        if not direct.close_to(total, 0 if backend == EXACT else 1e-9):
+            total = total + v.scale(Fraction(-1, step))
+        direct = deriv.apply(TruncatedTensor(n, k, {w: 1}, EXACT))
+        if not direct.close_to(total, 0):
             raise DomainError(
                 "Maclaurin sum is not a derivation on the sampled words"
             )
@@ -198,15 +191,7 @@ def _ad_operator(d1, m):
     return np.kron(np.eye(n), lift) - np.kron(d1c.T, np.eye(n**m))
 
 
-def ln_aut(
-    phi,
-    tol=None,
-    pole_tol=POLE_TOL,
-    exponent_bound=8,
-    force=False,
-    verdict=None,
-    initial_blocks=None,
-):
+def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
     """The extended logarithm: the unique derivation D with exp(D) = Phi and
     degree-1 block the principal logarithm of Phi's degree-1 part.
 
@@ -215,17 +200,13 @@ def ln_aut(
     returns inconclusive unless force=True; a forced run is recorded in the
     report.  Raises KernelSingular when an eigenvalue of the block ad-operator
     falls within pole_tol of 2 pi i m (m != 0).
-
-    initial_blocks seeds the solver's higher-degree state before the forward
-    pass (a diagnostic hook: by uniqueness the result must not depend on it).
     """
     tol = 1e-9 if tol is None else tol
     original = phi
     phi = phi.to_complex()
     n, k = phi.n, phi.k
     a = np.asarray(phi.A, dtype=complex)
-    if verdict is None:
-        verdict = eig_unit_circle_obstruction(a, exponent_bound=exponent_bound)
+    verdict = eig_unit_circle_obstruction(a)
     if verdict.verdict == "not_solvable":
         raise SolvabilityError(verdict)
     if verdict.verdict == "inconclusive" and not force:
@@ -233,11 +214,6 @@ def ln_aut(
 
     x_block = principal_log(a)
     blocks = {1: x_block}
-    if initial_blocks:
-        for m, blk in initial_blocks.items():
-            if not 2 <= int(m) < k:
-                raise DomainError("initial block degree out of range")
-            blocks[int(m)] = np.asarray(blk, dtype=complex)
     phi_mat = np.asarray(phi.to_matrix(), dtype=complex)
     trace = []
     for m in range(2, k):
@@ -256,8 +232,6 @@ def ln_aut(
         kernel_mat = phi1_matrix(ad_op)
         z_vec = np.linalg.solve(kernel_mat, r_block.flatten(order="F"))
         z_block = z_vec.reshape((n**m, n), order="F")
-        if m in blocks:
-            z_block = blocks[m] + z_block  # correct any seeded initial state
         if np.max(np.abs(z_block)) > 0:
             blocks[m] = z_block
         trace.append(

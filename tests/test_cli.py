@@ -172,6 +172,19 @@ def test_log_unipotent_rejects_anosov(tmp_path, capsys):
     assert code == 2
 
 
+def test_log_unipotent_cli_rejects_complex(tmp_path, capsys):
+    phi = random_ia_hopf_aut(seeded(3), 2, 4).to_complex()
+    path = tmp_path / "phi.json"
+    path.write_text(jsonio.dumps(jsonio.aut_to_json(phi)))
+    code, out = run_cli(capsys, "log-unipotent", "--input", str(path))
+    assert code == 2
+    assert "ln_aut" in json.loads(out)["error"]["message"]
+    code, _ = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
+    assert code == 2
+    code, _ = run_cli(capsys, "log-aut", "--input", str(path))
+    assert code == 0
+
+
 def test_johnson_cli(tmp_path, capsys):
     endo = dehn_fixtures(1)["anosov"]
     path = tmp_path / "endo.json"
