@@ -1,10 +1,12 @@
 """Dense complex linear algebra: the principal logarithm, phi1 of a matrix,
 Jordan block sizes, and the exponential-solvability check.
 
-Eigenvalues come from one ``eigvals`` call and are grouped into clusters: two
-eigenvalues within CLUSTER_TOL (relative to the spectral scale) are one.  The
-principal logarithm interpolates on those clusters and the solvability check
-reads their centres.  The computed eigenvalues of a size-l Jordan block
+Eigenvalues come from one ``eigvals`` call and are grouped into clusters: an
+eigenvalue within CLUSTER_TOL of a cluster's centre, relative to that centre's
+modulus, joins it.  The principal logarithm interpolates on the eigenvalues
+with each cluster's divided differences summed as a Taylor series at its
+centre, and the solvability check reads a cluster as one eigenvalue when it
+is certified as one.  The computed eigenvalues of a size-l Jordan block
 scatter like (eps cond)^(1/l); while that stays inside the cluster radius (in
 practice l <= 3), the block is seen as the single eigenvalue it is.  No Jordan
 basis is ever formed.
@@ -22,7 +24,7 @@ import scipy.linalg
 from .scalars import DomainError
 
 RANK_TOL = 1e-8
-# Relative distance below which two computed eigenvalues are one eigenvalue.
+# Relative distance below which computed eigenvalues form one cluster.
 CLUSTER_TOL = 1e-4
 DEFAULT_TOL = 1e-9
 POLE_TOL = 1e-6
@@ -59,30 +61,31 @@ def _power_cutoff(base_norm, j, ambient=1.0):
     return RANK_TOL * max(base_norm, floor) ** j
 
 
-def _cluster_radius(eigs):
-    """Absolute distance below which two of these eigenvalues are one."""
-    return CLUSTER_TOL * max([1.0] + [abs(z) for z in eigs])
+def _clusters(eigs):
+    """Greedy clustering of an eigenvalue list into lists of members.
+
+    An eigenvalue joins the first cluster whose centre c, the mean of its
+    members so far, is within CLUSTER_TOL |c| of it: the radius is relative to
+    each cluster's own modulus, so small eigenvalues are not merged at a large
+    relative spread.  The mean is accurate to roundoff even when the members
+    scatter.
+    """
+    eigs = sorted(eigs, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    clusters = []
+    for z in eigs:
+        for members in clusters:
+            centre = sum(members) / len(members)
+            if abs(z - centre) <= CLUSTER_TOL * abs(centre):
+                members.append(z)
+                break
+        else:
+            clusters.append([z])
+    return clusters
 
 
 def cluster_eigenvalues(eigs):
-    """Greedy clustering of an eigenvalue list. Returns [(centre, multiplicity)].
-
-    An eigenvalue joins the first cluster whose running centre is within
-    _cluster_radius of it.  The centre is the mean of the members, which is
-    accurate to roundoff even when the members scatter.
-    """
-    eigs = sorted(eigs, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    radius = _cluster_radius(eigs)
-    clusters = []
-    for z in eigs:
-        for c in clusters:
-            if abs(z - c[0] / c[1]) <= radius:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]
+    """Greedy clustering of an eigenvalue list. Returns [(centre, multiplicity)]."""
+    return [(sum(members) / len(members), len(members)) for members in _clusters(eigs)]
 
 
 def jordan_block_sizes(a, eigenvalue):
@@ -108,32 +111,64 @@ def jordan_block_sizes(a, eigenvalue):
     return sorted(sizes, reverse=True)
 
 
+def _log_divided_differences(centre, members):
+    """Divided differences log[x_i..x_j] of one cluster's members x.
+
+    They form the upper triangle of log Z, Z = diag(x) + superdiagonal ones
+    (Opitz).  With D = diag(x/c - 1) + superdiagonal ones and c the centre,
+    log[x_i..x_j] = c^(i-j) (log c [i = j] + log(I + D)_ij).  The Taylor series
+    of log(I + D) is summed until its terms fall below roundoff; it converges
+    fast because |x/c - 1| <= 2 CLUSTER_TOL or so.  Close nodes thus lose
+    nothing to cancellation, and equal nodes give log^(j)(c)/j! exactly.
+    """
+    m = len(members)
+    d = np.diag(np.asarray(members, dtype=complex) / centre - 1.0) + np.eye(m, k=1)
+    series = np.zeros((m, m), dtype=complex)
+    power = np.eye(m, dtype=complex)
+    for k in range(1, m + 64):
+        power = power @ d
+        term = power * ((-1) ** (k - 1) / k)
+        series += term
+        if k >= m and np.max(np.abs(term)) <= 1e-17:
+            break
+    i, j = np.indices((m, m))
+    return (series + np.log(centre) * np.eye(m)) * complex(centre) ** (i - j)
+
+
 def principal_log(a):
     """Principal matrix logarithm by Hermite interpolation on the spectrum.
 
     log A = sum_j log[x_0..x_j] prod_{i<j} (A - x_i I) (Higham, Functions of
-    Matrices, 1.2).  The nodes x_i are the cluster centres of the eigenvalues,
-    each repeated by its multiplicity and kept adjacent; on a run of j+1 equal
-    nodes the divided difference is log^(j)(x)/j! = (-1)^(j-1)/(j x^j).  An
-    imaginary part of at most 1e-9 |x| is roundoff and is dropped, so a
-    negative eigenvalue takes +i pi: every eigenvalue of the result has
-    imaginary part in (-pi, pi].
+    Matrices, 1.2).  The nodes x_i are the computed eigenvalues, the members
+    of one cluster kept adjacent.  A divided difference within one cluster is
+    read from _log_divided_differences, so the scatter of a defective
+    eigenvalue or a pair of close eigenvalues costs no accuracy; across
+    clusters the usual recurrence applies.  Each cluster takes the branch of
+    its centre, whose imaginary part is dropped when at most 1e-9 of its
+    modulus, so a negative eigenvalue takes +i pi: every eigenvalue of the
+    result has imaginary part in (-pi, pi].
     """
     a = _as_complex(a)
     n = a.shape[0]
     floor = RANK_TOL * max(1.0, float(np.max(np.abs(a))))
     nodes = []
-    for lam, mult in cluster_eigenvalues(list(np.linalg.eigvals(a))):
-        if abs(lam) < floor:
+    owner = []  # per node: (index of its cluster's first node, cluster table)
+    for members in _clusters(np.linalg.eigvals(a)):
+        centre = sum(members) / len(members)
+        if abs(centre) < floor:
             raise DomainError("singular matrix has no logarithm")
-        if abs(lam.imag) <= 1e-9 * abs(lam):
-            lam = complex(lam.real, 0.0)
-        nodes.extend([lam] * mult)
-    dd = [np.log(x) for x in nodes]
+        if abs(centre.imag) <= 1e-9 * abs(centre):
+            centre = complex(centre.real, 0.0)
+        start = len(nodes)
+        table = _log_divided_differences(centre, members)
+        owner.extend([(start, table)] * len(members))
+        nodes.extend(members)
+    dd = [table[i - start, i - start] for i, (start, table) in enumerate(owner)]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            if nodes[i] == nodes[i - j]:
-                dd[i] = (-1) ** (j - 1) / (j * nodes[i] ** j)
+            start, table = owner[i]
+            if i - j >= start:
+                dd[i] = table[i - j - start, i - start]
             else:
                 dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
     eye = np.eye(n, dtype=complex)
@@ -208,24 +243,52 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
     """Decide whether the eigenvalue group of A meets the unit circle only at 1.
 
     The eigenvalue group is generated by the eigenvalues and their conjugates.
-    The tests below read the cluster centres of the spectrum (see
-    cluster_eigenvalues), so roundoff scatter inside the cluster radius does
-    not fake a non-real eigenvalue.  A non-real centre lam gives the witness lam/conj(lam)
-    immediately.  For all-real spectra the circle elements are products with
-    vanishing total log-modulus (within tol); a bounded integer search looks
-    for one with sign -1.  The verdict is three-valued: 'solvable' only when
-    certified, 'inconclusive' when the bounded search cannot decide.
+    The tests below trust an eigenvalue to strict = 100 tol max(1, max|A_ij|).
+    A cluster of computed eigenvalues (see _clusters) that spreads wider than
+    strict is read as its centre c only when c is certified as one eigenvalue
+    of that multiplicity, the sizes from jordan_block_sizes(A, c) summing to
+    the cluster size: that is how a defective eigenvalue scatters.  Otherwise
+    its members are read as close distinct eigenvalues when all are real; a
+    member off the real axis cannot be told from a small rotation, so the
+    verdict is then at best 'inconclusive'.  A non-real eigenvalue lam gives the
+    witness lam/conj(lam) immediately.  For all-real spectra the circle
+    elements are products with vanishing total log-modulus (within tol); a
+    bounded integer search looks for one with sign -1.  The verdict is
+    three-valued: 'solvable' only when certified, 'inconclusive' when the
+    bounded search cannot decide.
     """
     a = _as_complex(a)
     scale = max(1.0, float(np.max(np.abs(a))))
     eigs = list(np.linalg.eigvals(a))
     if any(abs(z) < RANK_TOL * scale for z in eigs):
         raise DomainError("matrix is singular")
-    radius = _cluster_radius(eigs)
-    centres = [z for z, _ in cluster_eigenvalues(eigs)]
-    for z in centres:
-        # non-real: z and its conjugate are two eigenvalues, not one
-        if abs(z - z.conjugate()) > radius:
+    strict = 100 * tol * scale
+    points = []
+    unresolved = False
+    for members in _clusters(eigs):
+        centre = sum(members) / len(members)
+        # a non-real centre means a non-real eigenvalue, whatever the members
+        if (max(abs(z - centre) for z in members) <= strict
+                or abs(centre.imag) > strict
+                or sum(jordan_block_sizes(a, centre)) == len(members)):
+            points.append(centre)
+        elif all(abs(z.imag) <= strict for z in members):
+            points.extend(members)
+        else:
+            unresolved = True
+
+    def solvable(detail):
+        if unresolved:
+            return SolvabilityVerdict(
+                verdict="inconclusive",
+                eigenvalues=eigs,
+                detail="close eigenvalues off the real axis: a defective real "
+                "eigenvalue or a small rotation",
+            )
+        return SolvabilityVerdict(verdict="solvable", eigenvalues=eigs, detail=detail)
+
+    for z in points:
+        if abs(z.imag) > strict:
             witness = z / z.conjugate()
             return SolvabilityVerdict(
                 verdict="not_solvable",
@@ -234,10 +297,10 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
                 exponents=None,
                 detail=f"non-real eigenvalue {z}: lam/conj(lam) lies on the unit circle",
             )
-    reals = [z.real for z in centres]
+    reals = [z.real for z in points]
     # the eigenvalue -1 is itself a witness
     for x in reals:
-        if abs(x + 1.0) <= radius:
+        if abs(x + 1.0) <= strict:
             return SolvabilityVerdict(
                 verdict="not_solvable",
                 eigenvalues=eigs,
@@ -245,14 +308,14 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
                 exponents=None,
                 detail=f"eigenvalue {x} lies on the unit circle and differs from 1",
             )
-    # eigenvalues equal to 1 generate nothing
-    distinct = [x for x in reals if abs(x - 1.0) > radius]
+    # eigenvalues equal to 1 generate nothing, and the group depends only on
+    # the set of eigenvalues
+    distinct = []
+    for x in reals:
+        if abs(x - 1.0) > strict and all(abs(x - y) > strict for y in distinct):
+            distinct.append(x)
     if all(x > 0 for x in distinct):
-        return SolvabilityVerdict(
-            verdict="solvable",
-            eigenvalues=eigs,
-            detail="all eigenvalues real and positive: circle elements are all 1",
-        )
+        return solvable("all eigenvalues real and positive: circle elements are all 1")
     logs = [math.log(abs(x)) for x in distinct]
     signs = [1 if x > 0 else -1 for x in distinct]
     r = len(distinct)
@@ -287,11 +350,7 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
                         detail="integer relation with odd negative part: product is -1 on the circle",
                     )
     if not found_any_relation:
-        return SolvabilityVerdict(
-            verdict="solvable",
-            eigenvalues=eigs,
-            detail=f"moduli multiplicatively independent at exponent bound {exponent_bound}",
-        )
+        return solvable(f"moduli multiplicatively independent at exponent bound {exponent_bound}")
     return SolvabilityVerdict(
         verdict="inconclusive",
         eigenvalues=eigs,

@@ -101,6 +101,17 @@ def test_ln_aut_defective_real_spectrum():
         assert report.residual < 1e-12
 
 
+def test_ln_aut_close_small_eigenvalues_verified():
+    # 0.01 and 0.01009 are 9e-3 apart relative to their own size: distinct
+    # eigenvalues, whose logs must not be blurred into one
+    p = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    for diag in ([0.01, 0.01009, 1.0], [1.0, 1.00009, 3.0]):
+        a = p @ np.diag(diag) @ np.linalg.inv(p)
+        report = ln_aut(GradedAut.splitting(a.astype(complex), 3))
+        assert report.verified
+        assert report.verdict.verdict == "solvable"
+
+
 def test_ln_aut_splitting_diagonal():
     phi = GradedAut.splitting(np.diag([2.0, 0.5]).astype(complex), 3)
     report = ln_aut(phi)

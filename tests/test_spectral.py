@@ -181,6 +181,41 @@ def test_solvability_negative_pair_inconclusive():
     assert v.verdict == "inconclusive"
 
 
+def test_solvability_lone_eigenvalue_read_strictly():
+    # a lone eigenvalue is not blurred by the cluster radius: 1 + 3e-5 i is
+    # non-real, and -1.005 is not -1
+    v = eig_unit_circle_obstruction(np.diag([1.0 + 3e-5j, 2.0]))
+    assert v.verdict == "not_solvable"
+    assert abs(v.witness - 1.0) > 1e-5
+    assert eig_unit_circle_obstruction(np.diag([-1.005, 100.0])).verdict == "solvable"
+    assert eig_unit_circle_obstruction(np.diag([1.0 + 5e-3j, 100.0])).verdict == "not_solvable"
+
+
+def test_solvability_small_rotation_not_certified():
+    # e^{+-i t} fall in one cluster but are not one eigenvalue of A: never
+    # 'solvable', while a defective real eigenvalue scattering as far is
+    t = 3e-5
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    assert eig_unit_circle_obstruction(rot).verdict == "inconclusive"
+    v = eig_unit_circle_obstruction(np.diag([1.0 + 3e-5j, 1.0 - 3e-5j, 2.0]))
+    assert v.verdict == "inconclusive"
+    p = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    a = p @ jordan_single_block(2.0, 3) @ np.linalg.inv(p)
+    assert eig_unit_circle_obstruction(a).verdict == "solvable"
+
+
+def test_principal_log_close_distinct_eigenvalues():
+    rng = np.random.default_rng(4)
+    for diag in ([0.01, 0.01009, 1.0], [1.0, 1.00009], [2.0, 2.0 + 1e-7, 5.0]):
+        n = len(diag)
+        exact = np.diag(np.log(np.array(diag, dtype=complex)))
+        assert np.max(np.abs(principal_log(np.diag(diag)) - exact)) <= 1e-13
+        p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = p @ np.diag(diag) @ np.linalg.inv(p)
+        _assert_log_of(a, list(np.diag(exact)))
+        assert np.max(np.abs(expm(principal_log(a)) - a)) <= 1e-12 * np.max(np.abs(a))
+
+
 def test_solvability_singular_rejected():
     with pytest.raises(DomainError):
         eig_unit_circle_obstruction(np.zeros((2, 2)))
@@ -189,6 +224,9 @@ def test_solvability_singular_rejected():
 def test_cluster_eigenvalues():
     clustered = cluster_eigenvalues([1.0 + 0j, 1.0 + 1e-9j, 2.0 + 0j])
     assert sorted(mult for _, mult in clustered) == [1, 2]
+    # the radius is relative to each cluster's own modulus
+    clustered = cluster_eigenvalues([0.01 + 0j, 0.01009 + 0j, 100.0 + 0j])
+    assert sorted(mult for _, mult in clustered) == [1, 1, 1]
 
 
 def test_principal_log_on_constructed_jordan_blocks():
