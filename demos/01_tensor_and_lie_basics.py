@@ -3,8 +3,8 @@ Truncated tensor algebras and free Lie algebras
 ===============================================
 
 A walk through the basic objects: noncommutative polynomials truncated at a
-fixed degree, the shuffle-side coproduct, primitive elements, and the Lyndon
-bracket basis of the free Lie algebra sitting inside.
+fixed degree, primitive (Lie) and group-like elements, and the Lyndon bracket
+basis of the free Lie algebra sitting inside.
 """
 
 from lielog import (
@@ -32,15 +32,18 @@ x2 = TruncatedTensor.generator(n, k, 2)
 print("X1 * X2 =", mul(x1, x2))
 print("X1^3 * X2 =", mul(mul(mul(x1, x1), x1), x2), "(truncated away)")
 
-# Every generator is primitive: the coproduct splits a word across all ways
-# of distributing its letters between two tensor factors.
+# Primitive elements are exactly the Lie elements.  A degree-m element P is
+# Lie iff left-normed bracketing rho(x_i1 ... x_im) = [..[x_i1, x_i2], ..., x_im]
+# gives rho(P) = m P (Dynkin-Specht-Wever): rho(X1X2) = X1X2 - X2X1 is not
+# 2 X1X2, but rho([X1, X2]) = 2 [X1, X2].
 print("X1 primitive:", is_primitive(x1))
 commutator = mul(x1, x2) - mul(x2, x1)
 print("[X1, X2] primitive:", is_primitive(commutator))
 print("X1 X2 primitive:", is_primitive(mul(x1, x2)))
 
 # exp and log are inverse bijections between the augmentation ideal and the
-# group of units with constant term 1; both are finite sums here.
+# group of units with constant term 1; both are finite sums here.  u is
+# group-like iff log u is primitive.
 u = tensor_exp(x1)
 print("exp(X1) =", u)
 print("log(exp(X1)) == X1:", tensor_log(u) == x1)

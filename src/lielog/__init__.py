@@ -15,9 +15,7 @@ from .scalars import (
     KernelSingular,
 )
 from .tensor_algebra import (
-    TensorSquare,
     TruncatedTensor,
-    coproduct,
     is_grouplike,
     is_primitive,
     mul,

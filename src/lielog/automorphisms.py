@@ -35,10 +35,11 @@ from .scalars import (
 from .tensor_algebra import (
     TruncatedTensor,
     basis_dimension,
+    column_tensors,
+    degree_columns,
     is_grouplike,
-    is_primitive,
+    is_lie_block,
     mul,
-    words_of_degree,
 )
 
 
@@ -114,24 +115,11 @@ class GradedAut:
         n, k, backend = images[0].n, images[0].k, images[0].backend
         if len(images) != n:
             raise DomainError(f"expected {n} generator images")
-        A = zeros_matrix(n, n, backend)
-        for i, img in enumerate(images):
-            if img.constant_term != 0:
-                raise DomainError("generator image has a nonzero constant term")
-            for w, c in img.degree_component(1).coeffs.items():
-                A[w[0] - 1, i] = c
+        if any(img.constant_term != 0 for img in images):
+            raise DomainError("generator image has a nonzero constant term")
+        A = degree_columns(images, 1)
         a_inv = matrix_inverse(A, backend)
-        u = {}
-        for m in range(2, k):
-            gm = zeros_matrix(n**m, n, backend)
-            nonzero = False
-            index = {w: r for r, w in enumerate(words_of_degree(n, m))}
-            for i, img in enumerate(images):
-                for w, c in img.degree_component(m).coeffs.items():
-                    gm[index[w], i] = c
-                    nonzero = True
-            if nonzero:
-                u[m] = gm @ a_inv
+        u = {m: degree_columns(images, m) @ a_inv for m in range(2, k)}
         return cls(n, k, A, u, backend)
 
     # -- basic structure ----------------------------------------------------
@@ -146,23 +134,19 @@ class GradedAut:
         if self.backend != other.backend:
             raise DimensionMismatch("GradedAut backend mismatch")
 
+    def generator_blocks(self):
+        """G_1 = A and G_m = u_m A: column i of G_m is the degree-m part of the
+        image of x_{i+1}."""
+        blocks = {1: self.A}
+        blocks.update((m, blk @ self.A) for m, blk in self.u.items())
+        return blocks
+
     def generator_images(self):
         """Image tensors of the generators (cached)."""
         if self._images is None:
-            images = []
-            for i in range(self.n):
-                coeffs = {}
-                col = self.A[:, i]
-                for j in range(self.n):
-                    if col[j] != 0:
-                        coeffs[(j + 1,)] = col[j]
-                for m, mat in self.u.items():
-                    vec = mat @ col
-                    for r, w in enumerate(words_of_degree(self.n, m)):
-                        if vec[r] != 0:
-                            coeffs[w] = vec[r]
-                images.append(TruncatedTensor(self.n, self.k, coeffs, self.backend))
-            self._images = images
+            self._images = column_tensors(
+                self.generator_blocks(), self.n, self.k, self.backend
+            )
         return self._images
 
     def _word_image(self, word):
@@ -193,8 +177,7 @@ class GradedAut:
         B_j[m] = sum_i kron(G_i, B_{j-1}[m - i]).
         """
         n, k = self.n, self.k
-        gens = {1: self.A}
-        gens.update((m, blk @ self.A) for m, blk in self.u.items())
+        gens = self.generator_blocks()
         dim = basis_dimension(n, k)
         mat = zeros_matrix(dim, dim, self.backend)
         mat[0, 0] = one(self.backend)
@@ -276,8 +259,13 @@ class GradedAut:
         return all(matrix_max_abs(b) <= tol for b in self.u.values())
 
     def is_hopf(self, tol=None):
-        """True iff the coproduct is preserved, i.e. generator images primitive."""
-        return all(is_primitive(img, tol) for img in self.generator_images())
+        """True iff the coproduct is preserved, i.e. generator images primitive:
+        every column of every generator block G_m is Lie."""
+        tol = default_tol(self.backend) if tol is None else tol
+        return all(
+            is_lie_block(blk, self.n, m, tol)
+            for m, blk in self.generator_blocks().items()
+        )
 
     def preserves_omega(self, g, tol=None):
         """True iff the symplectic tensor is fixed.
@@ -340,45 +328,30 @@ def gl_action_on_hom(A, f, j, backend=None):
     return kron_power(A, j, backend) @ f @ matrix_inverse(A, backend)
 
 
-def transporter(theta, theta_prime, check_grouplike=True):
+def transporter(theta, theta_prime):
     """The unique Hopf automorphism U with U o theta = theta'.
 
-    theta and theta_prime expose .images (generator image tensors), .n, .k.
-    Solved degree by degree; uniqueness comes from the invertibility of the
-    degree-1 parts.
+    theta and theta_prime expose .images (generator image tensors), .n, .k;
+    every image must be group-like.  Solved degree by degree; uniqueness
+    comes from the invertibility of the degree-1 parts.
     """
     images = list(theta.images)
     images_p = list(theta_prime.images)
     n, k, backend = images[0].n, images[0].k, images[0].backend
     if (theta_prime.images[0].n, theta_prime.images[0].k) != (n, k):
         raise DimensionMismatch("expansions do not share (n, k)")
-    if check_grouplike:
-        for img in images + images_p:
-            if not is_grouplike(img):
-                raise DomainError("transporter requires group-like expansions")
+    for img in images + images_p:
+        if not is_grouplike(img):
+            raise DomainError("transporter requires group-like expansions")
 
-    def base_matrix(imgs):
-        m = zeros_matrix(n, n, backend)
-        for i, img in enumerate(imgs):
-            for w, c in img.degree_component(1).coeffs.items():
-                m[w[0] - 1, i] = c
-        return m
-
-    m0 = base_matrix(images)
-    m1 = base_matrix(images_p)
-    b = m1 @ matrix_inverse(m0, backend)
+    m1 = degree_columns(images_p, 1)
+    b = m1 @ matrix_inverse(degree_columns(images, 1), backend)
     m1_inv = matrix_inverse(m1, backend)
     current = GradedAut(n, k, b, {}, backend)
     for m in range(2, k):
-        delta = zeros_matrix(n**m, n, backend)
-        nonzero = False
-        index = {w: r for r, w in enumerate(words_of_degree(n, m))}
-        for i in range(n):
-            defect = (images_p[i] - current.apply(images[i])).degree_component(m)
-            for w, c in defect.coeffs.items():
-                delta[index[w], i] = c
-                nonzero = True
-        if not nonzero:
+        defects = [p - current.apply(t) for p, t in zip(images_p, images)]
+        delta = degree_columns(defects, m)
+        if matrix_max_abs(delta) == 0:
             continue
         blocks = dict(current.u)
         blocks[m] = delta @ m1_inv

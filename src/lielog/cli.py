@@ -73,33 +73,8 @@ def cmd_check(args):
     return 0
 
 
-def _unipotent_report(phi, deriv):
-    """Payload and verdict for a Maclaurin logarithm, checked by exp(deriv) == phi."""
-    verified = exp_derivation(deriv) == phi
-    payload = {
-        "derivation": jsonio.derivation_to_json(deriv),
-        "residual": 0.0 if verified else float("nan"),
-        "exact": True,
-        "input": jsonio.aut_to_json(phi),
-    }
-    return payload, verified
-
-
 def cmd_log_aut(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
-    if args.backend == EXACT:
-        # the spectral path needs complex arithmetic; exact is only
-        # meaningful for exact unipotent inputs, where the Maclaurin series applies
-        try:
-            deriv = log_unipotent(phi)
-        except DomainError as exc:
-            raise CliError(
-                "--backend exact requires an exact unipotent input for log-aut: "
-                + str(exc)
-            ) from exc
-        payload, verified = _unipotent_report(phi, deriv)
-        _write(payload, args.output)
-        return 0 if verified else 1
     report = ln_aut(phi, tol=args.tol, pole_tol=args.pole_tol, force=args.force)
     payload = jsonio.report_to_json(report, phi=phi)
     _write(payload, args.output)
@@ -108,7 +83,15 @@ def cmd_log_aut(args):
 
 def cmd_log_unipotent(args):
     phi = jsonio.aut_from_json(_read_json(args.input))
-    payload, verified = _unipotent_report(phi, log_unipotent(phi))
+    deriv = log_unipotent(phi)
+    # the Maclaurin logarithm is checked by exp(deriv) == phi
+    verified = exp_derivation(deriv) == phi
+    payload = {
+        "derivation": jsonio.derivation_to_json(deriv),
+        "residual": 0.0 if verified else float("nan"),
+        "exact": True,
+        "input": jsonio.aut_to_json(phi),
+    }
     _write(payload, args.output)
     return 0 if verified else 1
 
@@ -202,7 +185,6 @@ def build_parser():
                    help="rejection distance from kernel singularities")
     p.add_argument("--force", action="store_true",
                    help="run on an inconclusive solvability verdict")
-    p.add_argument("--backend", choices=[EXACT, COMPLEX], default=COMPLEX)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_log_aut)
 

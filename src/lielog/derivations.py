@@ -33,9 +33,9 @@ from .scalars import (
 from .tensor_algebra import (
     TruncatedTensor,
     basis_dimension,
+    column_tensors,
+    degree_columns,
     mul,
-    word_basis,
-    words_of_degree,
 )
 
 
@@ -147,16 +147,7 @@ class GradedDerivation:
 
     def generator_images(self):
         if self._images is None:
-            images = []
-            for i in range(self.n):
-                coeffs = {}
-                for m, mat in self.d.items():
-                    vec = mat[:, i]
-                    for r, w in enumerate(words_of_degree(self.n, m)):
-                        if vec[r] != 0:
-                            coeffs[w] = vec[r]
-                images.append(TruncatedTensor(self.n, self.k, coeffs, self.backend))
-            self._images = images
+            self._images = column_tensors(self.d, self.n, self.k, self.backend)
         return self._images
 
     def apply(self, t):
@@ -248,22 +239,12 @@ def extend(images):
     """
     n = len(images)
     k, backend = images[0].k, images[0].backend
-    blocks = {}
-    for i, img in enumerate(images):
+    for img in images:
         if img.n != n or img.k != k or img.backend != backend:
             raise DimensionMismatch("generator images disagree on (n, k, backend)")
         if img.constant_term != 0:
             raise DomainError("derivation images must have zero constant term")
-    for m in range(1, k):
-        mat = zeros_matrix(n**m, n, backend)
-        nonzero = False
-        index = {w: r for r, w in enumerate(words_of_degree(n, m))}
-        for i, img in enumerate(images):
-            for w, c in img.degree_component(m).coeffs.items():
-                mat[index[w], i] = c
-                nonzero = True
-        if nonzero:
-            blocks[m] = mat
+    blocks = {m: degree_columns(images, m) for m in range(1, k)}
     return GradedDerivation(n, k, blocks, backend)
 
 
@@ -303,13 +284,12 @@ def exp_derivation(deriv, max_terms=None):
             images.append(total)
         return GradedAut.from_generator_images(images)
     full = scipy.linalg.expm(np.asarray(deriv.to_matrix(), dtype=complex))
-    basis = word_basis(n, k)
-    images = []
-    for i in range(n):
-        col = full[:, 1 + i]  # generator x_{i+1} sits right after the empty word
-        coeffs = {w: col[r] for r, w in enumerate(basis) if col[r] != 0}
-        images.append(TruncatedTensor(n, k, coeffs, COMPLEX))
-    return GradedAut.from_generator_images(images)
+    # generator x_{i+1} is basis column 1 + i, right after the empty word
+    blocks = {}
+    for m in range(1, k):
+        row = basis_dimension(n, m)
+        blocks[m] = full[row : row + n**m, 1 : n + 1]
+    return GradedAut.from_generator_images(column_tensors(blocks, n, k, COMPLEX))
 
 
 def annihilates_omega(deriv, g, tol=None):

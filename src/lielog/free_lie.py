@@ -19,12 +19,13 @@ from .scalars import (
     DomainError,
     check_backend,
     default_tol,
+    matrix_max_abs,
     one,
     same_backend,
     to_scalar,
     zeros_matrix,
 )
-from .tensor_algebra import TruncatedTensor, is_primitive, mul, words_of_degree
+from .tensor_algebra import TruncatedTensor, degree_columns, is_primitive, mul
 
 
 def is_lyndon(word):
@@ -235,14 +236,8 @@ def _bracket_matrix(n, k, m):
     if cached is not None:
         return cached
     lyndon = lyndon_basis(n, k)[m]
-    word_list = words_of_degree(n, m)
-    word_pos = {w: i for i, w in enumerate(word_list)}
-    mat = zeros_matrix(len(word_list), len(lyndon), EXACT)
-    for j, lw in enumerate(lyndon):
-        t = lyndon_bracket_tensor(lw, n, k, EXACT)
-        for w, c in t.coeffs.items():
-            mat[word_pos[w], j] = c
-    _bracket_matrix_cache[key] = (lyndon, word_list, mat)
+    mat = degree_columns([lyndon_bracket_tensor(lw, n, k, EXACT) for lw in lyndon], m)
+    _bracket_matrix_cache[key] = (lyndon, mat)
     return _bracket_matrix_cache[key]
 
 
@@ -255,20 +250,16 @@ def tensor_to_lie(p, tol=None):
         raise DomainError("tensor_to_lie requires a primitive element")
     out = LiePoly.zero(p.n, p.k, p.backend)
     for m in range(1, p.k):
-        comp = p.degree_component(m)
-        if comp.is_zero(0):
+        rhs = degree_columns([p], m)
+        if matrix_max_abs(rhs) == 0:
             continue
-        lyndon, word_list, mat = _bracket_matrix(p.n, p.k, m)
-        rhs = [comp.coefficient(w) for w in word_list]
+        lyndon, mat = _bracket_matrix(p.n, p.k, m)
         if p.backend == EXACT:
-            aug = np.empty((len(word_list), 1), dtype=object)
-            for i, v in enumerate(rhs):
-                aug[i, 0] = v
-            sol = _solve_full_column_rank(mat, aug)
+            sol = _solve_full_column_rank(mat, rhs)
             coeffs = {lw: sol[j, 0] for j, lw in enumerate(lyndon)}
         else:
             a = np.array([[complex(x) for x in row] for row in mat], dtype=complex)
-            b = np.array(rhs, dtype=complex)
+            b = rhs[:, 0]
             sol, *_ = np.linalg.lstsq(a, b, rcond=None)
             resid = np.max(np.abs(a @ sol - b)) if len(b) else 0.0
             tol_c = default_tol(COMPLEX) if tol is None else tol

@@ -48,6 +48,7 @@ from .spectral import (
 from .tensor_algebra import (
     TruncatedTensor,
     basis_dimension,
+    is_lie_block,
     words_of_degree,
 )
 
@@ -248,11 +249,7 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
 
     hopf_flag = None
     if original.is_hopf(tol):
-        from .tensor_algebra import is_primitive
-
-        hopf_flag = all(
-            is_primitive(img, tol) for img in derivation.generator_images()
-        )
+        hopf_flag = all(is_lie_block(blk, n, m, tol) for m, blk in derivation.d.items())
     omega_flag = None
     if n % 2 == 0 and k >= 3:
         g = n // 2

@@ -16,10 +16,10 @@ from .scalars import (
     EXACT,
     DimensionMismatch,
     DomainError,
-    zeros_matrix,
 )
 from .tensor_algebra import (
     TruncatedTensor,
+    degree_columns,
     is_grouplike,
     mul,
     tensor_exp,
@@ -160,11 +160,7 @@ class MagnusExpansion:
 
     def base_matrix(self):
         """Degree-1 read-off; column i holds the coordinates of theta(x_{i+1})."""
-        mat = zeros_matrix(self.n, self.n, self.backend)
-        for i, img in enumerate(self.images):
-            for w, c in img.degree_component(1).coeffs.items():
-                mat[w[0] - 1, i] = c
-        return mat
+        return degree_columns(self.images, 1)
 
     def is_grouplike_expansion(self, tol=None):
         """Group-like means every value of theta is group-like; it is enough to
@@ -204,7 +200,7 @@ def is_symplectic_expansion(theta, g, tol=None):
     return lhs.close_to(rhs, tol)
 
 
-def total_johnson(theta, endo, check_grouplike=True):
+def total_johnson(theta, endo):
     """The unique filtered automorphism T with T o theta = theta o endo."""
     if endo.n != theta.n:
         raise DimensionMismatch("endomorphism rank does not match the expansion")
@@ -214,7 +210,7 @@ def total_johnson(theta, endo, check_grouplike=True):
     pushed = MagnusExpansion(
         [theta.evaluate(endo.images[i]) for i in range(theta.n)]
     )
-    return transporter(theta, pushed, check_grouplike=check_grouplike)
+    return transporter(theta, pushed)
 
 
 def dehn_fixtures(genus=1):

@@ -8,6 +8,7 @@ default tolerance of 1e-9.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,10 @@ def to_scalar(value, backend):
         if isinstance(value, (int, str)):
             return Fraction(value)
         if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
+            # exact binary value: rounding would hide small perturbations
+            if not math.isfinite(value):
+                raise DomainError(f"cannot coerce {value!r} to an exact rational")
+            return Fraction(value)
         raise DomainError(f"cannot coerce {value!r} to an exact rational")
     return complex(value)
 
@@ -60,12 +64,6 @@ def one(backend):
 
 def default_tol(backend):
     return 0 if backend == EXACT else DEFAULT_TOL
-
-
-def scalar_is_zero(x, tol=0):
-    if tol == 0:
-        return x == 0
-    return abs(x) <= tol
 
 
 def same_backend(a, b):

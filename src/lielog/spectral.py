@@ -222,10 +222,6 @@ class SolvabilityVerdict:
     exponents: list | None = None
     detail: str = ""
 
-    @property
-    def is_solvable(self):
-        return self.verdict == "solvable"
-
     def to_json(self):
         return {
             "verdict": self.verdict,

@@ -3,8 +3,10 @@
 Elements live in the quotient by the ideal of words of length >= k, and are
 stored as sparse coefficient maps keyed by words (tuples of generator indices
 in 1..n).  The coalgebra structure is the one in which every generator is
-primitive, so the coproduct of a word is the sum over all ways of splitting
-its letter positions into two complementary (order-preserving) subwords.
+primitive.  Over Q and C its primitive elements are exactly the Lie elements,
+and u is group-like iff log u is primitive (Friedrichs), so both predicates
+are decided degree by degree with the Dynkin-Specht-Wever criterion on dense
+per-degree column blocks (degree_columns).
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from .scalars import (
     DomainError,
     check_backend,
     default_tol,
+    matrix_max_abs,
     one,
     same_backend,
     to_scalar,
     zero,
+    zeros_matrix,
 )
 
 # A word is a tuple of generator indices; () is the empty word (degree 0).
@@ -42,18 +46,6 @@ def validate_word(word, n, k):
 def words_of_degree(n, m):
     """All words of length m over 1..n in lexicographic order."""
     return [tuple(w) for w in itertools.product(range(1, n + 1), repeat=m)]
-
-
-def word_basis(n, k):
-    """All words of length < k, ordered by (degree, lexicographic)."""
-    out = []
-    for m in range(k):
-        out.extend(words_of_degree(n, m))
-    return out
-
-
-def word_index_map(n, k):
-    return {w: i for i, w in enumerate(word_basis(n, k))}
 
 
 def basis_dimension(n, k):
@@ -196,19 +188,6 @@ class TruncatedTensor:
             self.n, self.k, {w: complex(c) for w, c in self.coeffs.items()}, COMPLEX
         )
 
-    def to_vector(self, index=None):
-        """Dense coefficient vector over word_basis(n, k) (a plain list)."""
-        index = word_index_map(self.n, self.k) if index is None else index
-        vec = [zero(self.backend)] * len(index)
-        for w, c in self.coeffs.items():
-            vec[index[w]] = c
-        return vec
-
-    @classmethod
-    def from_vector(cls, n, k, vec, backend):
-        basis = word_basis(n, k)
-        return cls(n, k, {w: v for w, v in zip(basis, vec)}, backend)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -238,158 +217,78 @@ def mul(a, b):
     return out
 
 
-class TensorSquare:
-    """Element of the tensor square of T/T_k, truncated by total degree.
+def degree_columns(tensors, m):
+    """Degree-m coefficients of the tensors as an n^m x len(tensors) matrix.
 
-    Sparse map (word, word) -> scalar with len(w1) + len(w2) < k.  The total
-    degree truncation (rather than per-factor truncation) is forced by the
-    coproduct: splitting a discarded word of length >= k can produce pairs
-    whose factors are both short, so the coproduct only descends to the
-    quotient in which those pairs are killed.  With this convention the
-    exponential of a primitive element is group-like at every finite depth.
+    Rows follow words_of_degree(n, m): lexicographic, first letter most
+    significant, as in iterated Kronecker products.  Column j holds tensor j.
     """
-
-    __slots__ = ("n", "k", "backend", "coeffs")
-
-    def __init__(self, n, k, coeffs=None, backend=EXACT):
-        self.n = n
-        self.k = k
-        self.backend = check_backend(backend)
-        data = {}
-        if coeffs:
-            for (w1, w2), value in coeffs.items():
-                w1 = validate_word(w1, n, k)
-                w2 = validate_word(w2, n, k)
-                if len(w1) + len(w2) >= k:
-                    raise DomainError(
-                        f"pair {(w1, w2)} has total degree >= truncation depth {k}"
-                    )
-                value = to_scalar(value, backend)
-                if value != 0:
-                    data[(w1, w2)] = value
-        self.coeffs = data
-
-    @classmethod
-    def zero(cls, n, k, backend=EXACT):
-        return cls(n, k, {}, backend)
-
-    def _check_compatible(self, other):
-        if (self.n, self.k) != (other.n, other.k):
-            raise DimensionMismatch("TensorSquare (n,k) mismatch")
-        same_backend(self, other)
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        data = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = data.get(key)
-            s = c if s is None else s + c
-            if s == 0:
-                data.pop(key, None)
-            else:
-                data[key] = s
-        out = TensorSquare.zero(self.n, self.k, self.backend)
-        out.coeffs = data
-        return out
-
-    def __neg__(self):
-        out = TensorSquare.zero(self.n, self.k, self.backend)
-        out.coeffs = {key: -c for key, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, truncated."""
-        self._check_compatible(other)
-        k = self.k
-        data = {}
-        for (a1, a2), ca in self.coeffs.items():
-            for (b1, b2), cb in other.coeffs.items():
-                if len(a1) + len(b1) + len(a2) + len(b2) >= k:
-                    continue
-                key = (a1 + b1, a2 + b2)
-                s = data.get(key)
-                s = ca * cb if s is None else s + ca * cb
-                data[key] = s
-        out = TensorSquare.zero(self.n, self.k, self.backend)
-        out.coeffs = {key: c for key, c in data.items() if c != 0}
-        return out
-
-    def max_abs(self):
-        if not self.coeffs:
-            return 0
-        return max(abs(c) for c in self.coeffs.values())
-
-    def is_zero(self, tol=None):
-        tol = default_tol(self.backend) if tol is None else tol
-        if tol == 0:
-            return not self.coeffs
-        return self.max_abs() <= tol
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return (
-            (self.n, self.k, self.backend) == (other.n, other.k, other.backend)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.backend, frozenset(self.coeffs.items())))
+    n, backend = tensors[0].n, tensors[0].backend
+    mat = zeros_matrix(n**m, len(tensors), backend)
+    for j, t in enumerate(tensors):
+        for w, c in t.coeffs.items():
+            if len(w) == m:
+                row = 0
+                for letter in w:
+                    row = row * n + letter - 1
+                mat[row, j] = c
+    return mat
 
 
-def outer(a, b):
-    """a (x) b as a TensorSquare (pairs of total degree >= k are discarded)."""
-    a._check_compatible(b)
-    data = {}
-    for wa, ca in a.coeffs.items():
-        for wb, cb in b.coeffs.items():
-            if len(wa) + len(wb) >= a.k:
-                continue
-            data[(wa, wb)] = ca * cb
-    out = TensorSquare.zero(a.n, a.k, a.backend)
-    out.coeffs = data
-    return out
+def column_tensors(blocks, n, k, backend):
+    """Inverse of degree_columns: n tensors, the i-th with degree-m part
+    column i of blocks[m] (an n^m x n matrix) for every degree m in blocks."""
+    coeffs = [{} for _ in range(n)]
+    for m, mat in blocks.items():
+        for r, w in enumerate(words_of_degree(n, m)):
+            for i in range(n):
+                if mat[r, i] != 0:
+                    coeffs[i][w] = mat[r, i]
+    return [TruncatedTensor(n, k, c, backend) for c in coeffs]
 
 
-def coproduct(a):
-    """Algebra-map extension of X_i |-> 1 (x) X_i + X_i (x) 1.
+def is_lie_block(blk, n, m, tol):
+    """True iff every column of the n^m x c block is a Lie element within tol.
 
-    On a word the coproduct is the sum over all subsets S of letter positions
-    of (subword on S) (x) (subword on the complement).
+    Columns are degree-m tensors in degree_columns order.  By the
+    Dynkin-Specht-Wever theorem a degree-m element P is Lie iff
+    rho(P) = m P, where rho is left-normed bracketing,
+    rho(x_i1 ... x_im) = [..[x_i1, x_i2], ..., x_im].  The test is
+    max|m P - rho(P)| <= m tol: P lies within tol of its Dynkin projection
+    rho(P)/m.  rho_m = (I - C)(rho_{m-1} (x) I_n), where C moves the last
+    tensor factor to the front, so rho is applied by reshapes and transposes
+    in O(m n^m) per column.
     """
-    out = TensorSquare.zero(a.n, a.k, a.backend)
-    data = {}
-    for word, c in a.coeffs.items():
-        m = len(word)
-        for r in range(m + 1):
-            for positions in itertools.combinations(range(m), r):
-                left = tuple(word[i] for i in positions)
-                right = tuple(word[i] for i in range(m) if i not in positions)
-                key = (left, right)
-                s = data.get(key)
-                s = c if s is None else s + c
-                data[key] = s
-    out.coeffs = {key: c for key, c in data.items() if c != 0}
-    return out
+    cols = blk.shape[1]
+    rho = blk
+    for j in range(2, m + 1):
+        # (I - C) on the first j tensor factors
+        t = rho.reshape(n ** (j - 1), n, -1)
+        rho = t.reshape(n**m, cols) - t.transpose(1, 0, 2).reshape(n**m, cols)
+    return matrix_max_abs(blk * m - rho) <= m * tol
 
 
 def is_primitive(a, tol=None):
-    """True iff coproduct(a) = 1 (x) a + a (x) 1 within tol."""
-    unit = TruncatedTensor.unit(a.n, a.k, a.backend)
-    defect = coproduct(a) - outer(unit, a) - outer(a, unit)
-    return defect.is_zero(tol)
+    """True iff coproduct(a) = 1 (x) a + a (x) 1 within tol, i.e. a is a Lie
+    element: zero constant term and every degree component Lie."""
+    tol = default_tol(a.backend) if tol is None else tol
+    if abs(a.constant_term) > tol:
+        return False
+    return all(is_lie_block(degree_columns([a], m), a.n, m, tol) for m in range(2, a.k))
 
 
 def is_grouplike(u, tol=None):
-    """True iff coproduct(u) = u (x) u within tol.  Requires constant term 1."""
+    """True iff coproduct(u) = u (x) u within tol.  Requires constant term 1.
+
+    u is group-like iff log u is primitive; the constant term is set to
+    exactly 1 before the logarithm is taken.
+    """
     tol_c = default_tol(u.backend) if tol is None else tol
     if abs(u.constant_term - one(u.backend)) > tol_c:
         raise DomainError("group-like test requires constant term 1")
-    defect = coproduct(u) - outer(u, u)
-    return defect.is_zero(tol)
+    normed = TruncatedTensor.zero(u.n, u.k, u.backend)
+    normed.coeffs = {**u.coeffs, (): one(u.backend)}
+    return is_primitive(tensor_log(normed), tol)
 
 
 def tensor_exp(a):

@@ -242,7 +242,8 @@ def test_criterion_5_composition_formula():
         if rep % 10 == 0:
             # literal check: the composite acts on every basis word as the
             # chained linear actions do
-            from lielog.tensor_algebra import TruncatedTensor, word_basis
+            from lielog.tensor_algebra import TruncatedTensor
+            from util import word_basis
 
             for w in word_basis(n, k):
                 t = TruncatedTensor(n, k, {w: 1})

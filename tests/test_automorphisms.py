@@ -12,8 +12,9 @@ from lielog.automorphisms import (
     matrix_inverse,
     transporter,
 )
-from lielog.magnus import theta_exp
+from lielog.magnus import dehn_fixtures, theta_exp, total_johnson
 from lielog.scalars import (
+    COMPLEX,
     EXACT,
     DimensionMismatch,
     as_matrix,
@@ -21,9 +22,10 @@ from lielog.scalars import (
     matrices_close,
     zeros_matrix,
 )
-from lielog.tensor_algebra import TruncatedTensor, mul, word_basis
+from lielog.tensor_algebra import TruncatedTensor, mul
 
 from util import (
+    oracle_is_primitive,
     random_ia_aut,
     random_ia_hopf_aut,
     random_invertible_exact,
@@ -199,6 +201,43 @@ def test_is_hopf_examples():
     u2p[2, 0] = Fraction(-1)  # X1X2 - X2X1: primitive
     phi2 = GradedAut(2, 3, eye_matrix(2, EXACT), {2: u2p})
     assert phi2.is_hopf()
+
+
+def _oracle_is_hopf(phi):
+    return all(oracle_is_primitive(img) for img in phi.generator_images())
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_is_hopf_matches_coproduct_oracle_on_johnson_images(k):
+    theta = theta_exp(2, k)
+    for endo in dehn_fixtures(1).values():
+        phi = total_johnson(theta, endo)
+        assert phi.is_hopf() == _oracle_is_hopf(phi)
+
+
+def test_is_hopf_matches_coproduct_oracle_on_perturbed_blocks():
+    rng = seeded(16)
+    decisions = set()
+    for _ in range(10):
+        phi = random_ia_hopf_aut(rng, rng.choice([2, 3]), 4)
+        blocks = dict(phi.u)
+        m = rng.choice(sorted(blocks))
+        blocks[m] = blocks[m].copy()
+        blocks[m][rng.randrange(blocks[m].shape[0]), rng.randrange(phi.n)] += 1
+        bumped = GradedAut(phi.n, phi.k, phi.A, blocks)
+        for aut in (phi, bumped):
+            decisions.add(aut.is_hopf())
+            assert aut.is_hopf() == _oracle_is_hopf(aut)
+    assert decisions == {True, False}
+
+
+def test_is_hopf_complex_tolerance():
+    phi = random_ia_hopf_aut(seeded(17), 2, 5).to_complex()
+    assert phi.is_hopf(1e-9)
+    for eps, expected in ((1e-6, False), (1e-12, True)):
+        blocks = {m: blk.copy() for m, blk in phi.u.items()}
+        blocks[3][1, 0] += eps  # the word X1X1X2 alone is not Lie
+        assert GradedAut(2, 5, phi.A, blocks, COMPLEX).is_hopf(1e-9) is expected
 
 
 def test_hopf_closure_under_compose_and_inverse():

@@ -125,28 +125,17 @@ def test_log_aut_impossible_tolerance_exit_one(tmp_path, capsys):
     assert out_path.exists()  # report still written on verification failure
 
 
-def test_log_aut_exact_backend_requires_unipotent(tmp_path, capsys):
-    a = as_matrix([[2, 1], [1, 1]], EXACT)
-    path = tmp_path / "phi.json"
-    path.write_text(jsonio.dumps(jsonio.aut_to_json(GradedAut.splitting(a, 3))))
-    code, out = run_cli(
-        capsys, "log-aut", "--input", str(path), "--backend", "exact"
-    )
-    assert code == 2
-    assert "error" in json.loads(out)
-
-
-def test_log_aut_exact_backend_recomputes_residual(tmp_path, capsys, monkeypatch):
+def test_log_unipotent_cli_recomputes_residual(tmp_path, capsys, monkeypatch):
     phi = random_ia_hopf_aut(seeded(3), 2, 4)
     assert not phi.is_identity(0)
     path = tmp_path / "phi.json"
     path.write_text(jsonio.dumps(jsonio.aut_to_json(phi)))
-    code, out = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
+    code, out = run_cli(capsys, "log-unipotent", "--input", str(path))
     assert code == 0
     assert json.loads(out)["residual"] == 0.0
     # a wrong logarithm must be caught: exp(0) is the identity, not phi
     monkeypatch.setattr(cli, "log_unipotent", lambda phi: GradedDerivation.zero(2, 4))
-    code, out = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
+    code, out = run_cli(capsys, "log-unipotent", "--input", str(path))
     assert code == 1
     assert math.isnan(json.loads(out)["residual"])
 
@@ -179,8 +168,6 @@ def test_log_unipotent_cli_rejects_complex(tmp_path, capsys):
     code, out = run_cli(capsys, "log-unipotent", "--input", str(path))
     assert code == 2
     assert "ln_aut" in json.loads(out)["error"]["message"]
-    code, _ = run_cli(capsys, "log-aut", "--input", str(path), "--backend", "exact")
-    assert code == 2
     code, _ = run_cli(capsys, "log-aut", "--input", str(path))
     assert code == 0
 

@@ -20,9 +20,9 @@ from lielog.derivations import (
 from lielog.free_lie import LiePoly, bracketing_kernel, lyndon_basis, tensor_to_lie
 from lielog.logarithm import bch_series
 from lielog.scalars import COMPLEX, EXACT, DomainError, as_matrix, eye_matrix, matrices_close, zeros_matrix
-from lielog.tensor_algebra import TruncatedTensor, mul, word_basis, words_of_degree
+from lielog.tensor_algebra import TruncatedTensor, mul, words_of_degree
 
-from util import random_block, random_ia_derivation, random_lie_poly, seeded
+from util import random_block, random_ia_derivation, random_lie_poly, seeded, word_basis
 
 
 def euler_derivation(n, k):

@@ -22,16 +22,9 @@ from lielog.free_lie import (
     tensor_to_lie,
 )
 from lielog.scalars import EXACT, DomainError
-from lielog.tensor_algebra import (
-    TensorSquare,
-    TruncatedTensor,
-    coproduct,
-    mul,
-    outer,
-    words_of_degree,
-)
+from lielog.tensor_algebra import TruncatedTensor, mul, words_of_degree
 
-from util import random_lie_poly, seeded
+from util import coproduct, dict_sub, outer, random_lie_poly, seeded
 
 
 def test_lyndon_counts_small():
@@ -69,9 +62,9 @@ def _primitive_dimension(n, k, m):
     cols = []
     for w in words:
         t = TruncatedTensor(n, k, {w: 1})
-        defect = coproduct(t) - outer(unitt, t) - outer(t, unitt)
-        cols.append(defect.coeffs)
-        for key in defect.coeffs:
+        defect = dict_sub(dict_sub(coproduct(t), outer(unitt, t)), outer(t, unitt))
+        cols.append(defect)
+        for key in defect:
             rows.setdefault(key, len(rows))
     if not rows:
         return len(words)

@@ -24,6 +24,7 @@ from lielog.scalars import (
     as_matrix,
     eye_matrix,
     matrices_close,
+    to_scalar,
     zeros_matrix,
 )
 from lielog.spectral import eig_unit_circle_obstruction, principal_log
@@ -76,6 +77,18 @@ def test_log_unipotent_rejects_non_unipotent():
     phi = GradedAut.splitting(as_matrix([[2, 1], [1, 1]], EXACT), 3)
     with pytest.raises(DomainError):
         log_unipotent(phi)
+
+
+def test_exact_floats_are_not_rounded():
+    # a float on the exact backend is its exact binary value, so a 1e-13
+    # perturbation of the identity is not unipotent
+    assert to_scalar(1e-13, EXACT) == Fraction(1e-13) != 0
+    assert to_scalar(0.1, EXACT) == Fraction(0.1)
+    with pytest.raises(DomainError):
+        to_scalar(math.inf, EXACT)
+    a = as_matrix([[1 + 1e-13, 0], [0, 1]], EXACT)
+    with pytest.raises(DomainError):
+        log_unipotent(GradedAut(2, 3, a, {}, EXACT))
 
 
 def test_log_unipotent_rejects_complex_input():

@@ -14,7 +14,7 @@ from lielog.automorphisms import GradedAut
 from lielog.derivations import GradedDerivation, extend
 from lielog.free_lie import LiePoly, lyndon_basis, lyndon_bracket_tensor
 from lielog.scalars import EXACT, eye_matrix, zeros_matrix
-from lielog.tensor_algebra import TruncatedTensor, word_index_map, words_of_degree
+from lielog.tensor_algebra import TruncatedTensor, words_of_degree
 
 
 def random_tensor(rng, n, k, backend=EXACT, density=0.4, zero_constant=False,
@@ -119,6 +119,61 @@ def random_invertible_exact(rng, n, lo=-3, hi=3):
         arr = np.array([[float(x) for x in row] for row in mat])
         if abs(np.linalg.det(arr)) > 0.5:
             return mat
+
+
+def word_basis(n, k):
+    """All words of length < k, ordered by (degree, lexicographic)."""
+    return [w for m in range(k) for w in words_of_degree(n, m)]
+
+
+def word_index_map(n, k):
+    return {w: i for i, w in enumerate(word_basis(n, k))}
+
+
+def coproduct(a):
+    """Coproduct of a tensor as a sparse {(left word, right word): coefficient}
+    map.  Every generator is primitive, so a word maps to the sum over sets S
+    of its letter positions of (subword on S) (x) (subword on the complement)."""
+    out = {}
+    for word, c in a.coeffs.items():
+        m = len(word)
+        for r in range(m + 1):
+            for positions in itertools.combinations(range(m), r):
+                left = tuple(word[i] for i in positions)
+                right = tuple(word[i] for i in range(m) if i not in positions)
+                out[(left, right)] = out.get((left, right), 0) + c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def outer(a, b):
+    """a (x) b, truncated by total degree < k (the quotient the coproduct of a
+    truncated tensor lands in)."""
+    return {
+        (wa, wb): ca * cb
+        for wa, ca in a.coeffs.items()
+        for wb, cb in b.coeffs.items()
+        if len(wa) + len(wb) < a.k
+    }
+
+
+def dict_sub(x, y):
+    """x - y for sparse coefficient maps, zeros dropped."""
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) - c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def oracle_is_primitive(a, tol=0):
+    """coproduct(a) = 1 (x) a + a (x) 1 within tol, by splitting every word."""
+    unit = TruncatedTensor.unit(a.n, a.k, a.backend)
+    defect = dict_sub(dict_sub(coproduct(a), outer(unit, a)), outer(a, unit))
+    return all(abs(c) <= tol for c in defect.values())
+
+
+def oracle_is_grouplike(u, tol=0):
+    """coproduct(u) = u (x) u within tol, by splitting every word."""
+    return all(abs(c) <= tol for c in dict_sub(coproduct(u), outer(u, u)).values())
 
 
 def word_by_word_matrix(op):
