@@ -62,7 +62,6 @@ from .magnus import (
     MagnusExpansion,
     boundary_word,
     dehn_fixtures,
-    evaluate,
     is_symplectic_expansion,
     theta_exp,
     total_johnson,

@@ -37,9 +37,10 @@ from .tensor_algebra import (
     basis_dimension,
     column_tensors,
     degree_columns,
-    is_grouplike,
     is_lie_block,
+    is_primitive,
     mul,
+    normed_log,
 )
 
 
@@ -332,28 +333,18 @@ def transporter(theta, theta_prime):
     """The unique Hopf automorphism U with U o theta = theta'.
 
     theta and theta_prime expose .images (generator image tensors), .n, .k;
-    every image must be group-like.  Solved degree by degree; uniqueness
-    comes from the invertibility of the degree-1 parts.
+    every image must be group-like, that is, its logarithm primitive.  U is
+    an algebra map, so it sends log theta(x_i) to log theta'(x_i):
+    U = Pi_theta' o Pi_theta^-1, where Pi_theta sends x_i to log theta(x_i).
+    Uniqueness comes from the invertibility of the degree-1 parts.
     """
-    images = list(theta.images)
-    images_p = list(theta_prime.images)
-    n, k, backend = images[0].n, images[0].k, images[0].backend
-    if (theta_prime.images[0].n, theta_prime.images[0].k) != (n, k):
+    first, first_p = theta.images[0], theta_prime.images[0]
+    if (first_p.n, first_p.k) != (first.n, first.k):
         raise DimensionMismatch("expansions do not share (n, k)")
-    for img in images + images_p:
-        if not is_grouplike(img):
+    pis = []
+    for expansion in (theta, theta_prime):
+        logs = [normed_log(img, None) for img in expansion.images]
+        if not all(is_primitive(lg) for lg in logs):
             raise DomainError("transporter requires group-like expansions")
-
-    m1 = degree_columns(images_p, 1)
-    b = m1 @ matrix_inverse(degree_columns(images, 1), backend)
-    m1_inv = matrix_inverse(m1, backend)
-    current = GradedAut(n, k, b, {}, backend)
-    for m in range(2, k):
-        defects = [p - current.apply(t) for p, t in zip(images_p, images)]
-        delta = degree_columns(defects, m)
-        if matrix_max_abs(delta) == 0:
-            continue
-        blocks = dict(current.u)
-        blocks[m] = delta @ m1_inv
-        current = GradedAut(n, k, b, blocks, backend)
-    return current
+        pis.append(GradedAut.from_generator_images(logs))
+    return pis[1].compose(pis[0].inverse())

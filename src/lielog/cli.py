@@ -19,7 +19,7 @@ from .derivations import exp_derivation
 from .free_lie import lyndon_basis
 from .logarithm import SolvabilityError, bch_series, bch_single_y_kernel, ln_aut, log_unipotent
 from .magnus import dehn_fixtures, theta_exp, total_johnson
-from .scalars import COMPLEX, EXACT, DomainError, KernelSingular
+from .scalars import COMPLEX, EXACT, DomainError, KernelSingular, matrix_to_backend
 from .spectral import eig_unit_circle_obstruction
 
 
@@ -111,9 +111,7 @@ def cmd_johnson(args):
         )
         for i in range(endo.n)
     )
-    eigs = np.linalg.eigvals(
-        np.asarray(jsonio.matrix_from_json(jsonio.aut_to_json(aut)["A"], COMPLEX), dtype=complex)
-    )
+    eigs = np.linalg.eigvals(matrix_to_backend(aut.A, COMPLEX))
     payload = {
         "total_johnson": jsonio.aut_to_json(aut),
         "induced_matrix": endo.induced_matrix().tolist(),

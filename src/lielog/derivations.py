@@ -256,7 +256,7 @@ def leibniz_defect(deriv, w1, w2):
     return deriv.apply(mul(t1, t2)) - mul(deriv.apply(t1), t2) - mul(t1, deriv.apply(t2))
 
 
-def exp_derivation(deriv, max_terms=None):
+def exp_derivation(deriv):
     """Exponentiate a derivation to a filtered automorphism.
 
     Exact backend: the generator-image series sum D^j(x_i)/j! must terminate
@@ -267,7 +267,7 @@ def exp_derivation(deriv, max_terms=None):
     """
     n, k, backend = deriv.n, deriv.k, deriv.backend
     if backend == EXACT:
-        cap = max_terms or (basis_dimension(n, k) + 1)
+        cap = basis_dimension(n, k) + 1
         images = []
         for i in range(n):
             term = TruncatedTensor.generator(n, k, i + 1, backend)

@@ -115,7 +115,7 @@ def _is_unipotent(phi):
     return all(x == 0 for x in power.flat)
 
 
-def log_unipotent(phi, verify=True):
+def log_unipotent(phi):
     """Maclaurin logarithm -sum_i (id - Phi)^i / i of a unipotent automorphism.
 
     Exact-only: the input must be on the rational backend, where the series
@@ -148,8 +148,7 @@ def log_unipotent(phi, verify=True):
             raise DomainError("Maclaurin series failed to terminate")
         images.append(total)
     deriv = extend(images)
-    if verify:
-        _verify_derivation_property(deriv, phi)
+    _verify_derivation_property(deriv, phi)
     return deriv
 
 
@@ -192,6 +191,27 @@ def _ad_operator(d1, m):
     return np.kron(np.eye(n), lift) - np.kron(d1c.T, np.eye(n**m))
 
 
+def _solve_kernel(x_block, m, rhs, pole_tol):
+    """Solve phi1(ad X) Z = rhs for Z in Hom(H, H^(x m)), an n^m x n block.
+
+    ad X is the ad-operator of the degree-1 block X (_ad_operator).  Returns Z
+    and the kernel margin, the distance of the nearest ad-eigenvalue to a
+    pole 2 pi i j (j != 0) of the inverse kernel; raises KernelSingular when
+    the margin is below pole_tol.
+    """
+    n = x_block.shape[0]
+    ad_op = _ad_operator(x_block, m)
+    ad_eigs = np.linalg.eigvals(ad_op)
+    margin = min((_nearest_multiple_2pi_i(z) for z in ad_eigs), default=math.inf)
+    if margin < pole_tol:
+        raise KernelSingular(
+            f"ad-operator eigenvalue within {pole_tol} of 2 pi i m at degree {m}"
+        )
+    kernel_mat = phi1_matrix(ad_op)
+    z_vec = np.linalg.solve(kernel_mat, rhs.flatten(order="F"))
+    return z_vec.reshape((n**m, n), order="F"), margin
+
+
 def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
     """The extended logarithm: the unique derivation D with exp(D) = Phi and
     degree-1 block the principal logarithm of Phi's degree-1 part.
@@ -223,23 +243,14 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
         residual_mat = np.linalg.solve(exp_mat, phi_mat)
         lo, hi = _degree_rows(n, m)
         r_block = residual_mat[lo:hi, 1 : n + 1]
-        ad_op = _ad_operator(x_block, m)
-        ad_eigs = np.linalg.eigvals(ad_op)
-        min_dist = min((_nearest_multiple_2pi_i(z) for z in ad_eigs), default=math.inf)
-        if min_dist < pole_tol:
-            raise KernelSingular(
-                f"ad-operator eigenvalue within {pole_tol} of 2 pi i m at degree {m}"
-            )
-        kernel_mat = phi1_matrix(ad_op)
-        z_vec = np.linalg.solve(kernel_mat, r_block.flatten(order="F"))
-        z_block = z_vec.reshape((n**m, n), order="F")
+        z_block, margin = _solve_kernel(x_block, m, r_block, pole_tol)
         if np.max(np.abs(z_block)) > 0:
             blocks[m] = z_block
         trace.append(
             {
                 "degree": m,
                 "residual_block": float(np.max(np.abs(r_block))),
-                "kernel_margin": float(min_dist),
+                "kernel_margin": float(margin),
             }
         )
 
@@ -410,17 +421,7 @@ def bch_single_y_kernel(x, y, pole_tol=POLE_TOL):
         raise DomainError("X must have only a degree-1 block")
     if not y.is_ia(0 if y.backend == EXACT else None):
         raise DomainError("Y must be IA")
-    n = x.n
     x1 = np.asarray(matrix_to_backend(x.d1, COMPLEX), dtype=complex)
     y2 = np.asarray(matrix_to_backend(y.block(2), COMPLEX), dtype=complex)
-    ad_op = _ad_operator(x1, 2)
-    ad_eigs = np.linalg.eigvals(ad_op)
-    min_dist = min((_nearest_multiple_2pi_i(z) for z in ad_eigs), default=math.inf)
-    if min_dist < pole_tol:
-        raise KernelSingular(
-            f"ad-operator eigenvalue within {pole_tol} of 2 pi i m"
-        )
-    kernel_mat = phi1_matrix(ad_op)
-    z_vec = np.linalg.solve(kernel_mat, y2.flatten(order="F"))
-    z_block = z_vec.reshape((n**2, n), order="F")
-    return GradedDerivation(n, 3, {1: x1, 2: z_block}, COMPLEX)
+    z_block, _ = _solve_kernel(x1, 2, y2, pole_tol)
+    return GradedDerivation(x.n, 3, {1: x1, 2: z_block}, COMPLEX)

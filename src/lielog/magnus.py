@@ -4,7 +4,8 @@ A Magnus expansion sends each free-group generator to a unit of the truncated
 tensor algebra with constant term 1 and invertible degree-1 part (the base
 matrix).  The total Johnson map of a free-group endomorphism phi with respect
 to an expansion theta is the unique filtered automorphism T with
-T o theta = theta o phi; it is found degree by degree as a transporter.
+T o theta = theta o phi, the transporter from theta to theta o phi; for
+theta_exp the transporter's Pi_theta is the identity.
 """
 
 from __future__ import annotations
@@ -183,10 +184,6 @@ def theta_exp(n, k, backend=EXACT):
         tensor_exp(TruncatedTensor.generator(n, k, i + 1, backend)) for i in range(n)
     ]
     return MagnusExpansion(images)
-
-
-def evaluate(theta, word):
-    return theta.evaluate(word)
 
 
 def is_symplectic_expansion(theta, g, tol=None):

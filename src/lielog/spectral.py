@@ -26,6 +26,8 @@ from .scalars import DomainError
 RANK_TOL = 1e-8
 # Relative distance below which computed eigenvalues form one cluster.
 CLUSTER_TOL = 1e-4
+# Exponent vectors the solvability search tries before it gives up.
+ENUMERATION_BUDGET = 2_000_000
 DEFAULT_TOL = 1e-9
 POLE_TOL = 1e-6
 
@@ -234,8 +236,7 @@ class SolvabilityVerdict:
         }
 
 
-def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
-                                enumeration_budget=2_000_000):
+def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL):
     """Decide whether the eigenvalue group of A meets the unit circle only at 1.
 
     The eigenvalue group is generated by the eigenvalues and their conjugates.
@@ -323,7 +324,7 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL,
             if max(abs(v) for v in vec) != shell:
                 continue
             count += 1
-            if count > enumeration_budget:
+            if count > ENUMERATION_BUDGET:
                 return SolvabilityVerdict(
                     verdict="inconclusive",
                     eigenvalues=eigs,

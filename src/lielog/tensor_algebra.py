@@ -277,18 +277,26 @@ def is_primitive(a, tol=None):
     return all(is_lie_block(degree_columns([a], m), a.n, m, tol) for m in range(2, a.k))
 
 
-def is_grouplike(u, tol=None):
-    """True iff coproduct(u) = u (x) u within tol.  Requires constant term 1.
+def normed_log(u, tol):
+    """log u with the constant term first set to exactly 1.
 
-    u is group-like iff log u is primitive; the constant term is set to
-    exactly 1 before the logarithm is taken.
+    Raises DomainError unless the constant term is 1 within tol (None: the
+    backend default).
     """
-    tol_c = default_tol(u.backend) if tol is None else tol
-    if abs(u.constant_term - one(u.backend)) > tol_c:
+    tol = default_tol(u.backend) if tol is None else tol
+    if abs(u.constant_term - one(u.backend)) > tol:
         raise DomainError("group-like test requires constant term 1")
     normed = TruncatedTensor.zero(u.n, u.k, u.backend)
     normed.coeffs = {**u.coeffs, (): one(u.backend)}
-    return is_primitive(tensor_log(normed), tol)
+    return tensor_log(normed)
+
+
+def is_grouplike(u, tol=None):
+    """True iff coproduct(u) = u (x) u within tol.  Requires constant term 1.
+
+    u is group-like iff log u is primitive (see normed_log).
+    """
+    return is_primitive(normed_log(u, tol), tol)
 
 
 def tensor_exp(a):

@@ -12,17 +12,19 @@ from lielog.automorphisms import (
     matrix_inverse,
     transporter,
 )
-from lielog.magnus import dehn_fixtures, theta_exp, total_johnson
+from lielog.magnus import MagnusExpansion, dehn_fixtures, theta_exp, total_johnson
 from lielog.scalars import (
     COMPLEX,
     EXACT,
     DimensionMismatch,
+    DomainError,
     as_matrix,
     eye_matrix,
     matrices_close,
+    matrix_max_abs,
     zeros_matrix,
 )
-from lielog.tensor_algebra import TruncatedTensor, mul
+from lielog.tensor_algebra import TruncatedTensor, mul, tensor_exp, tensor_log
 
 from util import (
     oracle_is_primitive,
@@ -31,6 +33,7 @@ from util import (
     random_invertible_exact,
     random_tensor,
     seeded,
+    transporter_by_degrees,
 )
 
 
@@ -349,6 +352,82 @@ def test_transporter_rejects_non_grouplike():
     bad = MagnusExpansion(bad_images)
     with pytest.raises(DomainError):
         transporter(theta, bad)
+
+
+def _non_exp_expansion(k, backend=EXACT):
+    """theta(x1) = exp(2 X1 + [X1, X2]), theta(x2) = exp(X2): group-like, base
+    matrix diag(2, 1)."""
+    x1 = TruncatedTensor.generator(2, k, 1, backend)
+    x2 = TruncatedTensor.generator(2, k, 2, backend)
+    lie = x1.scale(2) + mul(x1, x2) - mul(x2, x1)
+    return MagnusExpansion([tensor_exp(lie), tensor_exp(x2)])
+
+
+def _pushed(theta, endo):
+    return MagnusExpansion([theta.evaluate(img) for img in endo.images])
+
+
+def test_transporter_closed_form_matches_degree_solve():
+    fixtures = dehn_fixtures()
+    for k in range(3, 8):
+        theta = theta_exp(2, k)
+        for endo in fixtures.values():
+            pushed = _pushed(theta, endo)
+            assert transporter(theta, pushed) == transporter_by_degrees(theta, pushed)
+    # a source and a target expansion other than theta_exp
+    for k in (4, 5):
+        theta = theta_exp(2, k)
+        other = _non_exp_expansion(k)
+        pairs = [(other, theta), (theta, other)]
+        for endo in fixtures.values():
+            pushed = _pushed(other, endo)
+            pairs += [(other, pushed), (pushed, other)]
+        for src, dst in pairs:
+            assert transporter(src, dst) == transporter_by_degrees(src, dst)
+    # complex backend: agreement up to roundoff relative to the largest entry
+    k = 5
+    theta = theta_exp(2, k, COMPLEX)
+    other = _non_exp_expansion(k, COMPLEX)
+    pairs = [(other, theta), (theta, other)]
+    for endo in fixtures.values():
+        pairs += [(theta, _pushed(theta, endo)), (other, _pushed(other, endo))]
+    for src, dst in pairs:
+        closed = transporter(src, dst)
+        solved = transporter_by_degrees(src, dst)
+        scale = max(matrix_max_abs(blk) for blk in [solved.A, *solved.u.values()])
+        assert closed.close_to(solved, 1e-9 * scale)
+
+
+def test_transporter_takes_one_log_per_image(monkeypatch):
+    import lielog.tensor_algebra as ta
+
+    logs = []
+
+    def counting_log(u):
+        logs.append(u)
+        return tensor_log(u)
+
+    def no_apply(self, t):
+        raise AssertionError("transporter must not apply automorphisms to tensors")
+
+    monkeypatch.setattr(ta, "tensor_log", counting_log)
+    monkeypatch.setattr(GradedAut, "apply", no_apply)
+    theta = theta_exp(2, 5)
+    pushed = _pushed(theta, dehn_fixtures()["anosov"])
+    transporter(theta, pushed)
+    assert len(logs) == 4
+
+
+def test_transporter_rejects_non_grouplike_source():
+    theta = theta_exp(2, 4)
+    bad = MagnusExpansion(
+        [
+            TruncatedTensor.unit(2, 4) + TruncatedTensor.generator(2, 4, i + 1)
+            for i in range(2)
+        ]
+    )
+    with pytest.raises(DomainError):
+        transporter(bad, theta)
 
 
 def test_dimension_mismatch_errors():

@@ -15,7 +15,6 @@ from lielog.magnus import (
     MagnusExpansion,
     boundary_word,
     dehn_fixtures,
-    evaluate,
     is_symplectic_expansion,
     theta_exp,
     total_johnson,

@@ -10,11 +10,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from lielog.automorphisms import GradedAut
+from lielog.automorphisms import GradedAut, matrix_inverse
 from lielog.derivations import GradedDerivation, extend
 from lielog.free_lie import LiePoly, lyndon_basis, lyndon_bracket_tensor
-from lielog.scalars import EXACT, eye_matrix, zeros_matrix
-from lielog.tensor_algebra import TruncatedTensor, words_of_degree
+from lielog.scalars import (
+    EXACT,
+    DimensionMismatch,
+    DomainError,
+    eye_matrix,
+    matrix_max_abs,
+    zeros_matrix,
+)
+from lielog.tensor_algebra import (
+    TruncatedTensor,
+    degree_columns,
+    is_grouplike,
+    words_of_degree,
+)
 
 
 def random_tensor(rng, n, k, backend=EXACT, density=0.4, zero_constant=False,
@@ -199,6 +211,36 @@ def bracket_by_images(d, e):
         xi = TruncatedTensor.generator(d.n, d.k, i + 1, d.backend)
         images.append(d.apply(e.apply(xi)) - e.apply(d.apply(xi)))
     return extend(images)
+
+
+def transporter_by_degrees(theta, theta_prime):
+    """U with U o theta = theta', solved degree by degree on the word path.
+
+    The reference for the closed-form transporter: start from the degree-1
+    part and, at each degree m, correct u_m by the degree-m defect of
+    theta' - U(theta) on the generators.
+    """
+    images = list(theta.images)
+    images_p = list(theta_prime.images)
+    n, k, backend = images[0].n, images[0].k, images[0].backend
+    if (images_p[0].n, images_p[0].k) != (n, k):
+        raise DimensionMismatch("expansions do not share (n, k)")
+    for img in images + images_p:
+        if not is_grouplike(img):
+            raise DomainError("transporter requires group-like expansions")
+    m1 = degree_columns(images_p, 1)
+    b = m1 @ matrix_inverse(degree_columns(images, 1), backend)
+    m1_inv = matrix_inverse(m1, backend)
+    current = GradedAut(n, k, b, {}, backend)
+    for m in range(2, k):
+        defects = [p - current.apply(t) for p, t in zip(images_p, images)]
+        delta = degree_columns(defects, m)
+        if matrix_max_abs(delta) == 0:
+            continue
+        blocks = dict(current.u)
+        blocks[m] = delta @ m1_inv
+        current = GradedAut(n, k, b, blocks, backend)
+    return current
 
 
 def seeded(seed=0):
