@@ -199,48 +199,48 @@ class GradedAut:
 
     # -- group structure ----------------------------------------------------
 
+    def _compose_block(self, other_u, m, a_inv):
+        """Degree-m u block of self o other, other having the u blocks other_u
+        (degrees up to m are read) and a_inv the inverse of self.A."""
+        backend = self.backend
+        ident = eye_matrix(self.n, backend)
+        total = self.u_block(m).copy()
+        for ell in range(2, m + 1):
+            v_ell = other_u.get(ell)
+            if v_ell is None:  # v_1 = 0 and absent blocks contribute nothing
+                continue
+            conj_v = kron_power(self.A, ell, backend) @ v_ell @ a_inv
+            for comp in _compositions(m, ell):
+                if any(i != 1 and i not in self.u for i in comp):
+                    # a zero factor kills the Kronecker product
+                    continue
+                factors = [ident if i == 1 else self.u[i] for i in comp]
+                total = total + kron_all(factors) @ conj_v
+        return total
+
     def compose(self, other):
         """self o other via the closed-form partition sum on (A, u) data."""
         self._check_compatible(other)
-        n, k, backend = self.n, self.k, self.backend
-        a_inv = matrix_inverse(self.A, backend)
-        c = self.A @ other.A
+        a_inv = matrix_inverse(self.A, self.backend)
         w = {}
-        ident = eye_matrix(n, backend)
-        for m in range(2, k):
-            total = self.u_block(m).copy()
-            for ell in range(2, m + 1):
-                v_ell = other.u.get(ell)
-                if v_ell is None:  # v_1 = 0 and absent blocks contribute nothing
-                    continue
-                conj_v = kron_power(self.A, ell, backend) @ v_ell @ a_inv
-                for comp in _compositions(m, ell):
-                    if any(i != 1 and i not in self.u for i in comp):
-                        # a zero factor kills the Kronecker product
-                        continue
-                    factors = [ident if i == 1 else self.u[i] for i in comp]
-                    total = total + kron_all(factors) @ conj_v
+        for m in range(2, self.k):
+            total = self._compose_block(other.u, m, a_inv)
             if matrix_max_abs(total) != 0:
                 w[m] = total
-        return GradedAut(n, k, c, w, backend)
+        return GradedAut(self.n, self.k, self.A @ other.A, w, self.backend)
 
     def inverse(self):
-        """Group inverse, solved degree by degree."""
-        n, k, backend = self.n, self.k, self.backend
+        """Group inverse, solved degree by degree: the degree-m block of
+        self o inv depends on the inverse's blocks below m only through the
+        partition sum, and on its block v_m only through A^(x m) v_m A^-1."""
+        backend = self.backend
         a_inv = matrix_inverse(self.A, backend)
-        inv = GradedAut(n, k, a_inv, {}, backend)
-        for m in range(2, k):
-            defect = self.compose(inv).u_block(m)
-            if matrix_max_abs(defect) == 0:
-                continue
-            # the only term of the partition sum containing v_m is A^(x m) v_m A^-1
-            correction = (
-                kron_power(a_inv, m, backend) @ (-defect) @ self.A
-            )
-            blocks = dict(inv.u)
-            blocks[m] = correction
-            inv = GradedAut(n, k, a_inv, blocks, backend)
-        return inv
+        blocks = {}
+        for m in range(2, self.k):
+            defect = self._compose_block(blocks, m, a_inv)
+            if matrix_max_abs(defect) != 0:
+                blocks[m] = kron_power(a_inv, m, backend) @ (-defect) @ self.A
+        return GradedAut(self.n, self.k, a_inv, blocks, backend)
 
     def ia_decompose(self):
         """Split off the GL part: self = IA part o splitting(A)."""

@@ -8,6 +8,17 @@ exponential-solvability check: it fixes the degree-1 block to the principal
 matrix logarithm and solves for the higher blocks degree by degree, inverting
 the analytic kernel (1 - e^{-z})/z of the exponential's directional
 derivative on each block.  BCH utilities cross-check the solver.
+
+The kernel phi1(ad X) on Hom(H, H^(x m)) is solved in the eigenbasis of the
+degree-1 block X = V diag(lam) V^-1, where ad X is diagonal with entries
+lam_{i_1} + ... + lam_{i_m} - lam_j (Higham, Functions of Matrices, on
+Kronecker sums): m + 1 mode transforms by V or V^-1 and one entrywise
+division, with the pole margin read off the same sums.  The transforms
+amplify roundoff by about cond(V)^(m+1), so that path is taken only while
+cond(V)^(m+1) eps < EIGENBASIS_TOL.  A defective or ill-conditioned X (a
+Jordan block, a parabolic word) falls back to the dense n^(m+1)-square
+ad-operator: its eigvals for the margin, phi1_matrix (Van Loan's augmented
+exponential) and a linear solve.
 """
 
 from __future__ import annotations
@@ -40,9 +51,9 @@ from .scalars import (
 from .spectral import (
     POLE_TOL,
     SolvabilityVerdict,
-    _nearest_multiple_2pi_i,
     eig_unit_circle_obstruction,
     phi1_matrix,
+    pole_margin,
     principal_log,
 )
 from .tensor_algebra import (
@@ -51,6 +62,10 @@ from .tensor_algebra import (
     is_lie_block,
     words_of_degree,
 )
+
+# The kernel solve runs in the eigenbasis of X while cond(V)^(m+1) eps, the
+# roundoff its m + 1 mode transforms can amplify, stays below this.
+EIGENBASIS_TOL = 1e-10
 
 
 class SolvabilityError(DomainError):
@@ -191,25 +206,72 @@ def _ad_operator(d1, m):
     return np.kron(np.eye(n), lift) - np.kron(d1c.T, np.eye(n**m))
 
 
+def _eigenvalue_sums(lam, m):
+    """lam_{i_1} + ... + lam_{i_m} - lam_j as an n^m x n array, rows in word
+    order: the spectrum of ad X on Hom(H, H^(x m)) when X has eigenvalues lam."""
+    sums = np.zeros(1, dtype=complex)
+    for _ in range(m):
+        sums = (sums[:, None] + lam[None, :]).ravel()
+    return sums[:, None] - lam[None, :]
+
+
+def _transform_modes(t, mat, m):
+    """Apply mat along each of the first m axes of the tensor t."""
+    for axis in range(m):
+        t = np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
+    return t
+
+
+def _phi1_values(z):
+    """(1 - e^{-z})/z entrywise, with the value 1 at z = 0."""
+    out = np.ones_like(z)
+    nonzero = z != 0
+    out[nonzero] = -np.expm1(-z[nonzero]) / z[nonzero]
+    return out
+
+
 def _solve_kernel(x_block, m, rhs, pole_tol):
     """Solve phi1(ad X) Z = rhs for Z in Hom(H, H^(x m)), an n^m x n block.
 
-    ad X is the ad-operator of the degree-1 block X (_ad_operator).  Returns Z
-    and the kernel margin, the distance of the nearest ad-eigenvalue to a
-    pole 2 pi i j (j != 0) of the inverse kernel; raises KernelSingular when
-    the margin is below pole_tol.
+    With X = V diag(lam) V^-1, W = (V^-1)^(x m) Z V turns ad X into the
+    entrywise product with the eigenvalue sums lam_I - lam_j.  The path rule
+    (eigenbasis or dense ad-operator) is in the module docstring.
+
+    Returns Z and a trace dict: the path taken, cond(V) (None when V is
+    singular) and the kernel margin, the distance of the nearest
+    ad-eigenvalue to a pole 2 pi i j (j != 0) of the inverse kernel.  Raises
+    KernelSingular when the margin is below pole_tol.
     """
     n = x_block.shape[0]
-    ad_op = _ad_operator(x_block, m)
-    ad_eigs = np.linalg.eigvals(ad_op)
-    margin = min((_nearest_multiple_2pi_i(z) for z in ad_eigs), default=math.inf)
+    lam, v = np.linalg.eig(x_block)
+    sv = np.linalg.svd(v, compute_uv=False)
+    cond_v = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+    if cond_v < (EIGENBASIS_TOL / np.finfo(float).eps) ** (1.0 / (m + 1)):
+        path = "eigenbasis"
+        ad_eigs = _eigenvalue_sums(lam, m)
+    else:
+        path = "dense"
+        ad_op = _ad_operator(x_block, m)
+        ad_eigs = np.linalg.eigvals(ad_op)
+    margin = pole_margin(ad_eigs)
     if margin < pole_tol:
         raise KernelSingular(
             f"ad-operator eigenvalue within {pole_tol} of 2 pi i m at degree {m}"
         )
-    kernel_mat = phi1_matrix(ad_op)
-    z_vec = np.linalg.solve(kernel_mat, rhs.flatten(order="F"))
-    return z_vec.reshape((n**m, n), order="F"), margin
+    if path == "eigenbasis":
+        v_inv = np.linalg.inv(v)
+        w = _transform_modes(rhs.reshape((n,) * (m + 1)), v_inv, m) @ v
+        w = w / _phi1_values(ad_eigs).reshape(w.shape)
+        z_block = (_transform_modes(w, v, m) @ v_inv).reshape(n**m, n)
+    else:
+        z_vec = np.linalg.solve(phi1_matrix(ad_op), rhs.flatten(order="F"))
+        z_block = z_vec.reshape((n**m, n), order="F")
+    info = {
+        "path": path,
+        "cond_v": float(cond_v) if math.isfinite(cond_v) else None,
+        "kernel_margin": margin,
+    }
+    return z_block, info
 
 
 def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
@@ -243,15 +305,11 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
         residual_mat = np.linalg.solve(exp_mat, phi_mat)
         lo, hi = _degree_rows(n, m)
         r_block = residual_mat[lo:hi, 1 : n + 1]
-        z_block, margin = _solve_kernel(x_block, m, r_block, pole_tol)
+        z_block, info = _solve_kernel(x_block, m, r_block, pole_tol)
         if np.max(np.abs(z_block)) > 0:
             blocks[m] = z_block
         trace.append(
-            {
-                "degree": m,
-                "residual_block": float(np.max(np.abs(r_block))),
-                "kernel_margin": float(margin),
-            }
+            {"degree": m, "residual_block": float(np.max(np.abs(r_block))), **info}
         )
 
     derivation = GradedDerivation(n, k, blocks, COMPLEX)

@@ -182,11 +182,15 @@ def principal_log(a):
     return out
 
 
-def _nearest_multiple_2pi_i(z):
-    """Distance from z to the set {2 pi i m : m nonzero integer}."""
-    m = round(z.imag / TWO_PI)
-    candidates = {m - 1, m, m + 1} - {0}
-    return min(abs(z - complex(0.0, TWO_PI * mm)) for mm in candidates)
+def pole_margin(z):
+    """Smallest distance from the values z to {2 pi i j : j nonzero integer},
+    the poles of the inverse kernel z / (1 - e^{-z}); inf when z is empty."""
+    z = np.asarray(z, dtype=complex).ravel()
+    nearest = np.round(z.imag / TWO_PI)
+    best = np.full(z.shape, math.inf)
+    for j in (nearest - 1, nearest, nearest + 1):
+        best = np.minimum(best, np.where(j != 0, np.abs(z - 1j * TWO_PI * j), math.inf))
+    return float(best.min(initial=math.inf))
 
 
 def phi1_matrix(m):

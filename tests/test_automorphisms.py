@@ -24,9 +24,10 @@ from lielog.scalars import (
     matrix_max_abs,
     zeros_matrix,
 )
-from lielog.tensor_algebra import TruncatedTensor, mul, tensor_exp, tensor_log
+from lielog.tensor_algebra import TruncatedTensor, mul, normed_log, tensor_exp, tensor_log
 
 from util import (
+    inverse_by_compose,
     oracle_is_primitive,
     random_ia_aut,
     random_ia_hopf_aut,
@@ -365,6 +366,22 @@ def _non_exp_expansion(k, backend=EXACT):
 
 def _pushed(theta, endo):
     return MagnusExpansion([theta.evaluate(img) for img in endo.images])
+
+
+def test_inverse_matches_compose_loop():
+    # Pi_theta (x_i -> log theta(x_i)) of an expansion other than theta_exp,
+    # where every u block is nonzero, and the Johnson images under theta_exp
+    # (k = 7 is left to Pi_theta: the reference loop takes 5 s on the fixtures)
+    for k in range(4, 8):
+        other = _non_exp_expansion(k)
+        auts = [
+            GradedAut.from_generator_images([normed_log(img, None) for img in other.images])
+        ]
+        if k < 7:
+            theta = theta_exp(2, k)
+            auts += [total_johnson(theta, endo) for endo in dehn_fixtures().values()]
+        for aut in auts:
+            assert aut.inverse() == inverse_by_compose(aut)
 
 
 def test_transporter_closed_form_matches_degree_solve():

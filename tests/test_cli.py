@@ -100,6 +100,38 @@ def test_log_aut_report_self_check(tmp_path, capsys):
     assert residual <= 2 * max(report["residual"], 1e-12)
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_log_aut_trace_names_the_kernel_path(tmp_path, capsys):
+    # anosov: diagonalisable with cond(V) = 1, solved in the eigenbasis;
+    # P J_2(2) P^-1: defective, so V is (nearly) singular and the solve is dense
+    anosov = total_johnson(theta_exp(2, 5), dehn_fixtures(1)["anosov"])
+    p = np.array([[1.0, 1.0], [1.0, 2.0]])
+    jordan = (p @ np.array([[2.0, 1.0], [0.0, 2.0]]) @ np.linalg.inv(p)).astype(complex)
+    rng = np.random.default_rng(5)
+    u = {m: 0.1 * rng.normal(size=(2**m, 2)).astype(complex) for m in (2, 3, 4)}
+    cases = ((anosov, "eigenbasis"), (GradedAut(2, 5, jordan, u, COMPLEX), "dense"))
+    for phi, path in cases:
+        in_path = tmp_path / f"{path}.json"
+        in_path.write_text(jsonio.dumps(jsonio.aut_to_json(phi)))
+        code, out = run_cli(capsys, "log-aut", "--input", str(in_path))
+        assert code == 0
+        trace = _strict_json(out)["trace"]
+        assert [entry["degree"] for entry in trace] == [2, 3, 4]
+        for entry in trace:
+            assert entry["path"] == path
+            cond_v = entry["cond_v"]
+            assert cond_v is None or math.isfinite(cond_v)
+            if path == "eigenbasis":
+                assert cond_v == pytest.approx(1.0)
+
+
 def test_log_aut_rejects_rotation(tmp_path, capsys):
     rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     path = tmp_path / "rot.json"

@@ -1,13 +1,17 @@
 """Maclaurin and extended logarithms, BCH series and kernel."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lielog.automorphisms import GradedAut
+from lielog import logarithm
+from lielog.automorphisms import GradedAut, kron_power
 from lielog.derivations import GradedDerivation, annihilates_omega, exp_derivation
 from lielog.logarithm import (
     SolvabilityError,
@@ -27,8 +31,8 @@ from lielog.scalars import (
     to_scalar,
     zeros_matrix,
 )
-from lielog.spectral import eig_unit_circle_obstruction, principal_log
-from lielog.tensor_algebra import TruncatedTensor
+from lielog.spectral import POLE_TOL, eig_unit_circle_obstruction, phi1_matrix, principal_log
+from lielog.tensor_algebra import TruncatedTensor, words_of_degree
 
 from util import (
     random_ia_aut,
@@ -244,6 +248,136 @@ def test_log_report_verified_respects_tol():
     assert report.verified
     assert not dataclasses.replace(report, residual=1e-3).verified
     assert not dataclasses.replace(report, residual=math.nan).verified
+
+
+# -- the kernel solve: eigenbasis of X, dense fallback ------------------------
+
+
+def _dense_only():
+    """Route every kernel solve through the dense ad-operator."""
+    return mock.patch.object(logarithm, "EIGENBASIS_TOL", 0.0)
+
+
+def _diagonalisable_log(rng, n, pair):
+    """P, log J and X = P log(J) P^-1 for a diagonal J of mixed signs whose
+    eigenvalues are 0.1 apart or more, with a complex-conjugate pair when
+    pair is set, and cond(P) <= 10."""
+    while True:
+        lam = (rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)).astype(complex)
+        if pair:
+            r, t = rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.8)
+            lam[:2] = r * np.exp(1j * t), r * np.exp(-1j * t)
+        if min(abs(a - b) for a, b in itertools.combinations(lam, 2)) >= 0.1:
+            break
+    while True:
+        p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if np.linalg.cond(p) <= 10:
+            break
+    log_j = np.log(lam)
+    return p, log_j, p @ np.diag(log_j) @ np.linalg.inv(p)
+
+
+def _kernel_by_construction(p, log_j, m, rhs):
+    """phi1(ad X)^-1 rhs from the known P and log J: the ad-eigenvalue of
+    word I and column j is sum_{i in I} log J_i - log J_j."""
+    n = len(log_j)
+    sums = np.array(
+        [[sum(log_j[i - 1] for i in w) - log_j[j] for j in range(n)]
+         for w in words_of_degree(n, m)]
+    )
+    pm = kron_power(p, m, COMPLEX)
+    w = np.linalg.solve(pm, rhs @ p) * sums / -np.expm1(-sums)
+    return pm @ w @ np.linalg.inv(p), sums
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3]), st.booleans(),
+       st.integers(0, 10**6))
+def test_kernel_eigenbasis_against_dense_and_construction(n, m, pair, seed):
+    rng = np.random.default_rng(seed)
+    p, log_j, x = _diagonalisable_log(rng, n, pair)
+    rhs = rng.normal(size=(n**m, n)) + 1j * rng.normal(size=(n**m, n))
+    z_eig, info = logarithm._solve_kernel(x, m, rhs, POLE_TOL)
+    with _dense_only():
+        z_dense, dense_info = logarithm._solve_kernel(x, m, rhs, POLE_TOL)
+    assert info["path"] == "eigenbasis"
+    assert dense_info["path"] == "dense"
+    expected, sums = _kernel_by_construction(p, log_j, m, rhs)
+    margin = min(abs(s - 2j * math.pi * j) for s in sums.flat for j in range(-4, 5) if j)
+    scale = np.max(np.abs(expected))
+    err_eig = np.max(np.abs(z_eig - expected)) / scale
+    err_dense = np.max(np.abs(z_dense - expected)) / scale
+    assert err_eig <= 1e-10
+    # the dense path's phi1(ad X) comes from expm of a non-normal matrix and
+    # can be off by 1e-9 here; the eigenbasis may not be the less accurate.
+    # phi1 vanishes linearly at a pole, so near one roundoff in the
+    # eigenvalue sums is amplified by 1/margin in either path.
+    assert err_eig <= max(err_dense, 1e-12 / min(1.0, margin))
+    assert abs(info["kernel_margin"] - margin) <= 1e-12
+    # dense eigvals err by roundoff relative to the size of ad X
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(sums))))
+    assert abs(dense_info["kernel_margin"] - margin) <= tol
+
+
+def _ln_aut_outcome(phi):
+    try:
+        return ln_aut(phi, force=True).verified
+    except (SolvabilityError, KernelSingular) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10**6))
+def test_ln_aut_eigenbasis_verifies_whatever_dense_verifies(n, seed):
+    rng = np.random.default_rng(seed)
+    p, log_j, _ = _diagonalisable_log(rng, n, pair=False)
+    a = p @ np.diag(np.exp(log_j)) @ np.linalg.inv(p)
+    u = {
+        m: 0.1 * (rng.normal(size=(n**m, n)) + 1j * rng.normal(size=(n**m, n)))
+        for m in (2, 3)
+    }
+    phi = GradedAut(n, 4, a, u, COMPLEX)
+    with _dense_only():
+        dense = _ln_aut_outcome(phi)
+    eig = _ln_aut_outcome(phi)
+    assert eig == dense or (dense is False and eig is True)
+
+
+def test_kernel_path_follows_cond_v(monkeypatch):
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return phi1_matrix(mat)
+
+    monkeypatch.setattr(logarithm, "phi1_matrix", counted)
+    p = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    rng = np.random.default_rng(3)
+    u = {m: 0.05 * rng.normal(size=(3**m, 3)).astype(complex) for m in (2, 3)}
+    jordan2 = np.diag([2.0, 2.0, 3.0]) + np.diag([1.0, 0.0], 1)
+    jordan3 = 2.0 * np.eye(3) + np.eye(3, k=1)
+    for j, path in ((jordan2, "dense"), (jordan3, "dense"),
+                    (np.diag([2.0, -3.0, 5.0]), "eigenbasis")):
+        calls.clear()
+        a = (p @ j @ np.linalg.inv(p)).astype(complex)
+        report = ln_aut(GradedAut(3, 4, a, u, COMPLEX))
+        assert report.verified
+        assert [entry["path"] for entry in report.trace] == [path, path]
+        assert len(calls) == (2 if path == "dense" else 0)
+        for entry in report.trace:
+            cond_v = entry["cond_v"]
+            assert cond_v is None or math.isfinite(cond_v)
+            if path == "eigenbasis":
+                assert cond_v < 100
+
+
+def test_ln_aut_pole_first_reached_at_degree_three():
+    # 3 log(-2) - log(-8) = 2 pi i; no degree-2 eigenvalue sum is a pole
+    phi = GradedAut.splitting(np.diag([-2.0, -8.0]).astype(complex), 4)
+    with pytest.raises(KernelSingular, match="degree 3"):
+        ln_aut(phi, force=True)
+    with _dense_only(), pytest.raises(KernelSingular, match="degree 3"):
+        ln_aut(phi, force=True)
 
 
 # -- BCH ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lielog.automorphisms import GradedAut, matrix_inverse
+from lielog.automorphisms import GradedAut, kron_power, matrix_inverse
 from lielog.derivations import GradedDerivation, extend
 from lielog.free_lie import LiePoly, lyndon_basis, lyndon_bracket_tensor
 from lielog.scalars import (
@@ -241,6 +241,23 @@ def transporter_by_degrees(theta, theta_prime):
         blocks[m] = delta @ m1_inv
         current = GradedAut(n, k, b, blocks, backend)
     return current
+
+
+def inverse_by_compose(phi):
+    """Group inverse solved degree by degree, each defect read off a full
+    composition phi o inv (the reference for GradedAut.inverse)."""
+    n, k, backend = phi.n, phi.k, phi.backend
+    a_inv = matrix_inverse(phi.A, backend)
+    inv = GradedAut(n, k, a_inv, {}, backend)
+    for m in range(2, k):
+        defect = phi.compose(inv).u_block(m)
+        if matrix_max_abs(defect) == 0:
+            continue
+        # the only term of the partition sum containing v_m is A^(x m) v_m A^-1
+        blocks = dict(inv.u)
+        blocks[m] = kron_power(a_inv, m, backend) @ (-defect) @ phi.A
+        inv = GradedAut(n, k, a_inv, blocks, backend)
+    return inv
 
 
 def seeded(seed=0):
