@@ -9,6 +9,10 @@ as a linear map the automorphism is (extension of u) o (tensor lift of A).
 Coordinates: degree-m words are indexed lexicographically, matching iterated
 Kronecker products with the first letter most significant; u_m is an
 n^m x n matrix whose column i holds the coordinates of u_m(x_{i+1}).
+
+Composition, inversion and the GL action on Hom blocks apply partition sums
+of Kronecker products one factor at a time (tensor_algebra.partition_sum);
+only to_matrix, whose output is the matrix, forms Kronecker products.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .scalars import (
     DomainError,
     default_tol,
     eye_matrix,
-    kron_all,
     matrices_close,
     matrix_backend,
     matrix_max_abs,
@@ -41,32 +44,14 @@ from .tensor_algebra import (
     is_primitive,
     mul,
     normed_log,
+    partition_sum,
 )
-
-
-def _compositions(m, parts):
-    """Ordered compositions of m into `parts` positive integers."""
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(1, m - parts + 2):
-        for rest in _compositions(m - first, parts - 1):
-            yield (first,) + rest
 
 
 def matrix_inverse(a, backend):
     if backend == EXACT:
         return rational_linalg.inverse(a)
     return np.linalg.inv(a)
-
-
-def kron_power(a, j, backend):
-    if j == 0:
-        return eye_matrix(1, backend)
-    out = a
-    for _ in range(j - 1):
-        out = np.kron(out, a)
-    return out
 
 
 class GradedAut:
@@ -113,15 +98,20 @@ class GradedAut:
 
         The degree-1 parts must form an invertible matrix.
         """
-        n, k, backend = images[0].n, images[0].k, images[0].backend
+        n, k = images[0].n, images[0].k
         if len(images) != n:
             raise DomainError(f"expected {n} generator images")
         if any(img.constant_term != 0 for img in images):
             raise DomainError("generator image has a nonzero constant term")
-        A = degree_columns(images, 1)
-        a_inv = matrix_inverse(A, backend)
-        u = {m: degree_columns(images, m) @ a_inv for m in range(2, k)}
-        return cls(n, k, A, u, backend)
+        return cls.from_generator_blocks({m: degree_columns(images, m) for m in range(1, k)}, k)
+
+    @classmethod
+    def from_generator_blocks(cls, blocks, k):
+        """Reconstruct (A, u) from generator blocks G_m (see generator_blocks),
+        m in 1..k-1: A = G_1, which must be invertible, and u_m = G_m A^-1."""
+        A = blocks[1]
+        a_inv = matrix_inverse(A, matrix_backend(A))
+        return cls(A.shape[0], k, A, {m: g @ a_inv for m, g in blocks.items() if m != 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -199,48 +189,39 @@ class GradedAut:
 
     # -- group structure ----------------------------------------------------
 
-    def _compose_block(self, other_u, m, a_inv):
-        """Degree-m u block of self o other, other having the u blocks other_u
-        (degrees up to m are read) and a_inv the inverse of self.A."""
-        backend = self.backend
-        ident = eye_matrix(self.n, backend)
-        total = self.u_block(m).copy()
-        for ell in range(2, m + 1):
-            v_ell = other_u.get(ell)
-            if v_ell is None:  # v_1 = 0 and absent blocks contribute nothing
-                continue
-            conj_v = kron_power(self.A, ell, backend) @ v_ell @ a_inv
-            for comp in _compositions(m, ell):
-                if any(i != 1 and i not in self.u for i in comp):
-                    # a zero factor kills the Kronecker product
-                    continue
-                factors = [ident if i == 1 else self.u[i] for i in comp]
-                total = total + kron_all(factors) @ conj_v
-        return total
-
     def compose(self, other):
-        """self o other via the closed-form partition sum on (A, u) data."""
+        """self o other in closed form: w_m = u_m + sum_l sum over compositions
+        (i_1..i_l) of m of kron(G_{i_1}, ..., G_{i_l}) v_l A^-1, with G the
+        generator blocks of self and v the u blocks of other."""
         self._check_compatible(other)
         a_inv = matrix_inverse(self.A, self.backend)
-        w = {}
-        for m in range(2, self.k):
-            total = self._compose_block(other.u, m, a_inv)
-            if matrix_max_abs(total) != 0:
-                w[m] = total
+        gens = self.generator_blocks() if other.u else None  # skipped for a splitting
+        w = dict(self.u)
+        for ell, v in other.u.items():
+            for m, term in partition_sum(gens, v @ a_inv, ell, self.k - 1).items():
+                w[m] = term if m not in w else w[m] + term
         return GradedAut(self.n, self.k, self.A @ other.A, w, self.backend)
 
     def inverse(self):
         """Group inverse, solved degree by degree: the degree-m block of
         self o inv depends on the inverse's blocks below m only through the
-        partition sum, and on its block v_m only through A^(x m) v_m A^-1."""
-        backend = self.backend
-        a_inv = matrix_inverse(self.A, backend)
+        partition sum (the defect), and on its block v_m only through
+        A^(x m) v_m A^-1, which must therefore be -defect."""
+        a_inv = matrix_inverse(self.A, self.backend)
+        gens = self.generator_blocks()
+        defects = dict(self.u)
         blocks = {}
         for m in range(2, self.k):
-            defect = self._compose_block(blocks, m, a_inv)
-            if matrix_max_abs(defect) != 0:
-                blocks[m] = kron_power(a_inv, m, backend) @ (-defect) @ self.A
-        return GradedAut(self.n, self.k, a_inv, blocks, backend)
+            defect = defects.get(m)
+            if defect is None or matrix_max_abs(defect) == 0:
+                continue
+            # y = v_m A^-1 = (A^-1)^(x m) (-defect)
+            y = partition_sum({1: a_inv}, -defect, m, m)[m]
+            blocks[m] = y @ self.A
+            for mm, term in partition_sum(gens, y, m, self.k - 1).items():
+                if mm > m:
+                    defects[mm] = term if mm not in defects else defects[mm] + term
+        return GradedAut(self.n, self.k, a_inv, blocks, self.backend)
 
     def ia_decompose(self):
         """Split off the GL part: self = IA part o splitting(A)."""
@@ -326,7 +307,7 @@ def splitting(A, k, backend=None):
 def gl_action_on_hom(A, f, j, backend=None):
     """(A f)(v) = A^(x j) f(A^-1 v) on Hom(H, H^(x j)) matrices."""
     backend = matrix_backend(A) if backend is None else backend
-    return kron_power(A, j, backend) @ f @ matrix_inverse(A, backend)
+    return partition_sum({1: A}, f @ matrix_inverse(A, backend), j, j)[j]
 
 
 def transporter(theta, theta_prime):

@@ -4,6 +4,10 @@ A derivation is stored as blocks d_m: H -> H^(x m) for 1 <= m < k; the block
 d_1 is the degree-preserving part (an n x n matrix, the base-matrix slot) and
 the higher blocks raise degree.  Generator images determine the derivation;
 the action on words is the Leibniz extension.
+
+The bracket applies lift_j(d_l) = sum_pos I (x) d_l (x) I one tensor factor
+at a time (tensor_algebra.lift_apply); only to_matrix, whose output is the
+matrix, forms it as Kronecker products (tensor_lift).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .scalars import (
     DomainError,
     default_tol,
     eye_matrix,
-    kron_all,
     matrices_close,
     matrix_backend,
     matrix_max_abs,
@@ -35,6 +38,7 @@ from .tensor_algebra import (
     basis_dimension,
     column_tensors,
     degree_columns,
+    lift_apply,
     mul,
 )
 
@@ -185,8 +189,7 @@ class GradedDerivation:
 
     def bracket(self, other):
         """Commutator of derivations, block by block:
-        [D, E]_m = sum_{l+j-1=m} lift_j(d_l) e_j - lift_l(e_j) d_l
-        with lift_j = tensor_lift(., j)."""
+        [D, E]_m = sum_{l+j-1=m} lift_j(d_l) e_j - lift_l(e_j) d_l."""
         self._check_compatible(other)
         blocks = {}
         for ell, d_blk in self.d.items():
@@ -194,7 +197,7 @@ class GradedDerivation:
                 m = ell + j - 1
                 if m >= self.k:
                     continue
-                term = _lift_apply(d_blk, j, e_blk) - _lift_apply(e_blk, ell, d_blk)
+                term = lift_apply(d_blk, e_blk, j) - lift_apply(e_blk, d_blk, ell)
                 blocks[m] = term if m not in blocks else blocks[m] + term
         return GradedDerivation(self.n, self.k, blocks, self.backend)
 
@@ -213,23 +216,8 @@ def tensor_lift(blk, j):
     """lift_j(blk) = sum_pos I^(x pos) (x) blk (x) I^(x (j-1-pos)): the action on
     H^(x j) of the derivation whose only block is blk (n^l x n)."""
     n, backend = blk.shape[1], matrix_backend(blk)
-    return sum(
-        kron_all([eye_matrix(n**pos, backend), blk, eye_matrix(n ** (j - 1 - pos), backend)])
-        for pos in range(j)
-    )
-
-
-def _lift_apply(blk, j, x):
-    """tensor_lift(blk, j) @ x for x with n^j rows, without forming the
-    identity factors: each position contracts one mode of x with blk."""
-    n, cols = blk.shape[1], x.shape[1]
-    out = 0
-    for pos in range(j):
-        parts = x.reshape(n**pos, n, n ** (j - 1 - pos), cols)
-        # (n^pos, n^rest, cols, n^l) -> (n^pos, n^l, n^rest, cols)
-        term = np.tensordot(parts, blk, axes=([1], [1])).transpose(0, 3, 1, 2)
-        out = out + term.reshape(-1, cols)
-    return out
+    eyes = [eye_matrix(n**p, backend) for p in range(j)]
+    return sum(np.kron(np.kron(eyes[pos], blk), eyes[j - 1 - pos]) for pos in range(j))
 
 
 def extend(images):
@@ -288,8 +276,8 @@ def exp_derivation(deriv):
     blocks = {}
     for m in range(1, k):
         row = basis_dimension(n, m)
-        blocks[m] = full[row : row + n**m, 1 : n + 1]
-    return GradedAut.from_generator_images(column_tensors(blocks, n, k, COMPLEX))
+        blocks[m] = full[row : row + n**m, 1 : n + 1].copy()
+    return GradedAut.from_generator_blocks(blocks, k)
 
 
 def annihilates_omega(deriv, g, tol=None):

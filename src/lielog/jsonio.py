@@ -16,7 +16,7 @@ from .automorphisms import GradedAut
 from .derivations import GradedDerivation
 from .magnus import FreeGroupEndo, FreeGroupWord, MagnusExpansion
 from .free_lie import LiePoly
-from .scalars import COMPLEX, EXACT, DomainError, zeros_matrix
+from .scalars import COMPLEX, EXACT, DomainError, to_scalar, zeros_matrix
 from .tensor_algebra import TruncatedTensor
 
 
@@ -29,12 +29,16 @@ def coeff_to_json(value, backend):
 
 
 def coeff_from_json(obj):
-    """Returns (value, backend)."""
-    if "num" in obj:
-        return Fraction(int(obj["num"]), int(obj["den"])), EXACT
-    if "re" in obj:
-        return complex(obj["re"], obj.get("im", 0.0)), COMPLEX
-    raise DomainError(f"unrecognized coefficient object {obj!r}")
+    """Returns (value, backend); DomainError for a malformed coefficient."""
+    try:
+        if "num" in obj:
+            return Fraction(int(obj["num"]), int(obj["den"])), EXACT
+        parts = (obj["re"], obj.get("im", 0.0))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"unrecognized coefficient object {obj!r}") from exc
+    if not all(type(x) in (int, float) for x in parts):
+        raise DomainError(f"non-numeric complex coefficient {obj!r}")
+    return complex(*parts), COMPLEX
 
 
 def _infer_backend(obj, coeff_objs):
@@ -97,7 +101,7 @@ def matrix_from_json(obj, backend=None):
     mat = zeros_matrix(len(rows), len(rows[0]) if rows else 0, backend)
     for i, row in enumerate(rows):
         for j, c in enumerate(row):
-            mat[i, j] = coeff_from_json(c)[0]
+            mat[i, j] = to_scalar(coeff_from_json(c)[0], backend)
     return mat
 
 

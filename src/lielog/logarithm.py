@@ -60,6 +60,7 @@ from .tensor_algebra import (
     TruncatedTensor,
     basis_dimension,
     is_lie_block,
+    partition_sum,
     words_of_degree,
 )
 
@@ -215,13 +216,6 @@ def _eigenvalue_sums(lam, m):
     return sums[:, None] - lam[None, :]
 
 
-def _transform_modes(t, mat, m):
-    """Apply mat along each of the first m axes of the tensor t."""
-    for axis in range(m):
-        t = np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
-    return t
-
-
 def _phi1_values(z):
     """(1 - e^{-z})/z entrywise, with the value 1 at z = 0."""
     out = np.ones_like(z)
@@ -260,9 +254,8 @@ def _solve_kernel(x_block, m, rhs, pole_tol):
         )
     if path == "eigenbasis":
         v_inv = np.linalg.inv(v)
-        w = _transform_modes(rhs.reshape((n,) * (m + 1)), v_inv, m) @ v
-        w = w / _phi1_values(ad_eigs).reshape(w.shape)
-        z_block = (_transform_modes(w, v, m) @ v_inv).reshape(n**m, n)
+        w = partition_sum({1: v_inv}, rhs, m, m)[m] @ v / _phi1_values(ad_eigs)
+        z_block = partition_sum({1: v}, w, m, m)[m] @ v_inv
     else:
         z_vec = np.linalg.solve(phi1_matrix(ad_op), rhs.flatten(order="F"))
         z_block = z_vec.reshape((n**m, n), order="F")

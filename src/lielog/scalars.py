@@ -128,10 +128,3 @@ def matrices_close(a, b, tol):
         return all(x == y for x, y in zip(a.flat, b.flat))
     return matrix_max_abs(a - b) <= tol
 
-
-def kron_all(mats):
-    """Kronecker product of a sequence of matrices (identity for empty input)."""
-    out = None
-    for m in mats:
-        out = m if out is None else np.kron(out, m)
-    return out

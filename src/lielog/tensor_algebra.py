@@ -247,6 +247,42 @@ def column_tensors(blocks, n, k, backend):
     return [TruncatedTensor(n, k, c, backend) for c in coeffs]
 
 
+# Kronecker-structured products on blocks whose n^j rows are j tensor factors
+# (degree_columns order): each factor is applied to one tensor factor and the
+# product is never formed (Van Loan, "The ubiquitous Kronecker product", 2000).
+
+
+def mode_apply(mat, x, pos):
+    """(I^(x pos) (x) mat (x) I^(x rest)) x: the n^l x n matrix mat applied to
+    tensor factor pos (0-based, first letter first) of the n^j x c block x."""
+    n, cols = mat.shape[1], x.shape[1]
+    return (mat @ x.reshape(n**pos, n, -1)).reshape(-1, cols)
+
+
+def partition_sum(factors, x, j, top):
+    """{m: sum over compositions (i_1..i_j) of m of kron(F_{i_1}, ..., F_{i_j}) x}
+    for m <= top with a composition, x having n^j rows and factors mapping i to
+    the n^i x n matrix F_i (absent: zero).  {1: M} gives {j: M^(x j) x}.
+    Positions are applied last to first, so earlier ones keep their index,
+    and partial sums of equal degree are added before the next position."""
+    partial = {0: x}
+    for pos in reversed(range(j)):
+        nxt = {}
+        for s, y in partial.items():
+            for i, f in factors.items():
+                if s + i + pos <= top:  # the pos positions left add >= 1 each
+                    term = mode_apply(f, y, pos)
+                    nxt[s + i] = term if s + i not in nxt else nxt[s + i] + term
+        partial = nxt
+    return partial
+
+
+def lift_apply(blk, x, j):
+    """lift_j(blk) x = sum_pos (I (x) blk (x) I) x for x with n^j rows: the
+    Leibniz action on H^(x j) of the derivation whose only block is blk."""
+    return sum(mode_apply(blk, x, pos) for pos in range(j))
+
+
 def is_lie_block(blk, n, m, tol):
     """True iff every column of the n^m x c block is a Lie element within tol.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lielog.automorphisms import GradedAut, kron_power, matrix_inverse
+from lielog.automorphisms import GradedAut, matrix_inverse
 from lielog.derivations import GradedDerivation, exp_derivation
 from lielog.free_lie import omega_tensor
 from lielog.logarithm import bch_series, bch_single_y_kernel, ln_aut, log_unipotent
@@ -36,6 +36,7 @@ from lielog.spectral import (
 )
 
 from util import (
+    kron_power,
     random_block,
     random_ia_aut,
     random_ia_derivation,

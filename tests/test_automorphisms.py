@@ -8,7 +8,6 @@ import pytest
 from lielog.automorphisms import (
     GradedAut,
     gl_action_on_hom,
-    kron_power,
     matrix_inverse,
     transporter,
 )
@@ -28,6 +27,7 @@ from lielog.tensor_algebra import TruncatedTensor, mul, normed_log, tensor_exp, 
 
 from util import (
     inverse_by_compose,
+    kron_power,
     oracle_is_primitive,
     random_ia_aut,
     random_ia_hopf_aut,

@@ -1,9 +1,14 @@
-"""Block-built to_matrix and bracket against the word-by-word sparse path.
+"""Block-built to_matrix and bracket against the word-by-word sparse path, and
+the mode-product engine against explicit Kronecker products.
 
 The references in util.py act on one basis word or generator image at a time
 through the sparse `apply`; the library builds the same maps from per-degree
 Kronecker blocks.  Exact inputs must agree to the last rational digit.
 """
+
+import functools
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from lielog.automorphisms import GradedAut
 from lielog.derivations import GradedDerivation
-from lielog.scalars import COMPLEX, matrices_close, matrix_max_abs
+from lielog.scalars import COMPLEX, EXACT, eye_matrix, matrices_close, matrix_max_abs
+from lielog.tensor_algebra import lift_apply, mode_apply, partition_sum
 
 from util import (
     bracket_by_images,
+    kron_power,
     random_block,
     random_invertible_exact,
     seeded,
@@ -120,3 +127,64 @@ def test_block_engine_matches_word_path_complex(size, seed):
     # roundoff in the bracket scales with its terms, bounded by |D||E| + |E||D|
     scale = matrix_max_abs(np.abs(dm) @ np.abs(em) + np.abs(em) @ np.abs(dm))
     assert d.bracket(e).close_to(bracket_by_images(d, e), 1e-12 * scale)
+
+
+def engine_matrix(gen, rows, cols, exact):
+    if exact:
+        entries = [[Fraction(int(gen.integers(-3, 4)), int(gen.integers(1, 4))) for _ in range(cols)]
+                   for _ in range(rows)]
+        return np.array(entries, dtype=object).reshape(rows, cols)
+    return gen.normal(size=(rows, cols)) + 1j * gen.normal(size=(rows, cols))
+
+
+def assert_engine_close(got, terms, exact):
+    """got against the sum of the explicit (kron, x) products in terms: equal on
+    exact input, and within 1e-12 of the size of sum |kron| |x| on complex."""
+    want = sum(kron @ x for kron, x in terms)
+    if exact:
+        assert matrices_close(got, want, 0)
+    else:
+        scale = matrix_max_abs(sum(np.abs(kron) @ np.abs(x) for kron, x in terms))
+        assert matrices_close(got, want, 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sets(st.integers(1, 3)),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_mode_engine_matches_explicit_kronecker_products(n, j, degrees, cols, exact, seed):
+    gen = np.random.default_rng(seed)
+    backend = EXACT if exact else COMPLEX
+    x = engine_matrix(gen, n**j, cols, exact)
+    factors = {i: engine_matrix(gen, n**i, n, exact) for i in degrees}
+    top = j + 2 if n < 3 else min(j + 2, 5)
+
+    def lifted(mat, pos):
+        return np.kron(np.kron(eye_matrix(n**pos, backend), mat), eye_matrix(n ** (j - 1 - pos), backend))
+
+    for mat in factors.values():
+        for pos in range(j):
+            assert_engine_close(mode_apply(mat, x, pos), [(lifted(mat, pos), x)], exact)
+        assert_engine_close(lift_apply(mat, x, j), [(lifted(mat, pos), x) for pos in range(j)], exact)
+
+    # partition sum: every composition of every degree m into j present parts
+    sums = partition_sum(factors, x, j, top)
+    expected = {}
+    for comp in itertools.product(sorted(factors), repeat=j):
+        if sum(comp) <= top:
+            kron = functools.reduce(np.kron, [factors[i] for i in comp])
+            expected.setdefault(sum(comp), []).append((kron, x))
+    assert set(sums) == set(expected)
+    for m, terms in expected.items():
+        assert_engine_close(sums[m], terms, exact)
+
+    # a lone degree-1 factor M gives M^(x j) x
+    mat = engine_matrix(gen, n, n, exact)
+    lone = partition_sum({1: mat}, x, j, j)
+    assert set(lone) == {j}
+    assert_engine_close(lone[j], [(kron_power(mat, j, backend), x)], exact)

@@ -253,13 +253,34 @@ def test_fixtures_cli(capsys):
     assert set(payload["endos"]) == {"t_a", "t_a_inv", "t_b", "t_b_inv", "anosov"}
 
 
-def test_malformed_json_exit_two(tmp_path, capsys):
+ZERO_DEN = {"num": "1", "den": "0"}
+# a complex coefficient in an object that declares the exact backend
+COMPLEX_IN_EXACT = {"n": 1, "k": 3, "backend": "exact", "A": [[{"re": 1.0, "im": 0.0}]]}
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (["log-aut"], "{not json", "CliError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[ZERO_DEN]]}), "DomainError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[{"re": "x", "im": 0}]]}), "DomainError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[{"re": None, "im": 0}]]}), "DomainError"),
+        (["log-unipotent"], json.dumps({"n": 1, "k": 3, "A": [[ZERO_DEN]]}), "DomainError"),
+        (["log-unipotent"], json.dumps(COMPLEX_IN_EXACT), "DomainError"),
+        (["log-aut"], json.dumps(COMPLEX_IN_EXACT), "DomainError"),
+    ],
+    ids=[
+        "not-json", "zero-denominator", "string-re", "null-re",
+        "unipotent-zero-denominator", "unipotent-complex-in-exact", "log-aut-complex-in-exact",
+    ],
+)
+def test_malformed_json_exit_two(tmp_path, capsys, argv, text, error):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, out = run_cli(capsys, "log-aut", "--input", str(path))
+    path.write_text(text)
+    code, out = run_cli(capsys, *argv, "--input", str(path))
     assert code == 2
     payload = json.loads(out)
-    assert payload["error"]["type"] == "CliError"
+    assert payload["error"]["type"] == error
 
 
 def test_johnson_cli_with_expansion_file(tmp_path, capsys):

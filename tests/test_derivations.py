@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lielog import rational_linalg
 from lielog.automorphisms import GradedAut
@@ -19,8 +20,16 @@ from lielog.derivations import (
 )
 from lielog.free_lie import LiePoly, bracketing_kernel, lyndon_basis, tensor_to_lie
 from lielog.logarithm import bch_series
+from lielog.magnus import dehn_fixtures, theta_exp, total_johnson
 from lielog.scalars import COMPLEX, EXACT, DomainError, as_matrix, eye_matrix, matrices_close, zeros_matrix
-from lielog.tensor_algebra import TruncatedTensor, mul, words_of_degree
+from lielog.spectral import principal_log
+from lielog.tensor_algebra import (
+    TruncatedTensor,
+    basis_dimension,
+    column_tensors,
+    mul,
+    words_of_degree,
+)
 
 from util import random_block, random_ia_derivation, random_lie_poly, seeded, word_basis
 
@@ -81,6 +90,19 @@ def test_exp_d1_only_matches_splitting():
     expected = GradedAut.splitting(scipy.linalg.expm(b), 4)
     assert e.close_to(expected, 1e-12)
     assert not e.u  # no higher blocks
+
+
+@pytest.mark.parametrize("name", sorted(dehn_fixtures(1)))
+def test_complex_exp_matches_generator_image_round_trip(name):
+    """The complex exponential built from the generator columns of expm as
+    blocks equals, bit for bit, the same columns turned into generator image
+    tensors and read back."""
+    phi = total_johnson(theta_exp(2, 7), dehn_fixtures(1)[name]).to_complex()
+    d = GradedDerivation(2, 7, {1: principal_log(phi.A), **phi.u}, COMPLEX)
+    full = scipy.linalg.expm(d.to_matrix())
+    blocks = {m: full[basis_dimension(2, m) :][: 2**m, 1:3] for m in range(1, 7)}
+    expected = GradedAut.from_generator_images(column_tensors(blocks, 2, 7, COMPLEX))
+    assert exp_derivation(d) == expected
 
 
 def test_exp_multiplicative():

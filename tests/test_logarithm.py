@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lielog import logarithm
-from lielog.automorphisms import GradedAut, kron_power
+from lielog.automorphisms import GradedAut
 from lielog.derivations import GradedDerivation, annihilates_omega, exp_derivation
 from lielog.logarithm import (
     SolvabilityError,
@@ -35,6 +35,7 @@ from lielog.spectral import POLE_TOL, eig_unit_circle_obstruction, phi1_matrix, 
 from lielog.tensor_algebra import TruncatedTensor, words_of_degree
 
 from util import (
+    kron_power,
     random_ia_aut,
     random_ia_derivation,
     random_ia_hopf_aut,
