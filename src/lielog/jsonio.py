@@ -28,11 +28,18 @@ def coeff_to_json(value, backend):
     return {"re": z.real, "im": z.imag}
 
 
+def _json_int(x):
+    """An int or a string of one; int() alone would truncate 1.5 and read True."""
+    if type(x) is int or isinstance(x, str):
+        return int(x)
+    raise TypeError(f"not an integer: {x!r}")
+
+
 def coeff_from_json(obj):
     """Returns (value, backend); DomainError for a malformed coefficient."""
     try:
         if "num" in obj:
-            return Fraction(int(obj["num"]), int(obj["den"])), EXACT
+            return Fraction(_json_int(obj["num"]), _json_int(obj["den"])), EXACT
         parts = (obj["re"], obj.get("im", 0.0))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"unrecognized coefficient object {obj!r}") from exc

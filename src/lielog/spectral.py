@@ -14,19 +14,21 @@ basis is ever formed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
+from .rational_linalg import lll_reduce, short_vectors
 from .scalars import DomainError
 
 RANK_TOL = 1e-8
 # Relative distance below which computed eigenvalues form one cluster.
 CLUSTER_TOL = 1e-4
-# Exponent vectors the solvability search tries before it gives up.
+# Lattice points the solvability verdict's relation search enumerates
+# (counted at every level of the Fincke-Pohst search) before it gives up.
 ENUMERATION_BUDGET = 2_000_000
 DEFAULT_TOL = 1e-9
 POLE_TOL = 1e-6
@@ -253,10 +255,14 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL):
     member off the real axis cannot be told from a small rotation, so the
     verdict is then at best 'inconclusive'.  A non-real eigenvalue lam gives the
     witness lam/conj(lam) immediately.  For all-real spectra the circle
-    elements are products with vanishing total log-modulus (within tol); a
-    bounded integer search looks for one with sign -1.  The verdict is
-    three-valued: 'solvable' only when certified, 'inconclusive' when the
-    bounded search cannot decide.
+    elements are products with vanishing total log-modulus (within tol); the
+    integer relations v with max|v_i| <= exponent_bound are found by lattice
+    reduction (see _modulus_relations), and a relation with odd negative
+    part gives the witness -1.  The exponents reported are the first such v
+    by (max|v_i|, v), the order of a scan of the box in shells.  The verdict
+    is three-valued: 'solvable' only when certified, 'inconclusive' when
+    relations exist but none is odd within the bound, or when the search
+    would enumerate more than ENUMERATION_BUDGET lattice points.
     """
     a = _as_complex(a)
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -318,45 +324,83 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL):
     if all(x > 0 for x in distinct):
         return solvable("all eigenvalues real and positive: circle elements are all 1")
     logs = [math.log(abs(x)) for x in distinct]
-    signs = [1 if x > 0 else -1 for x in distinct]
-    r = len(distinct)
-    found_any_relation = False
-    count = 0
-    # search shells of increasing max-norm so minimal witnesses are reported
-    for shell in range(1, exponent_bound + 1):
-        for vec in itertools.product(range(-shell, shell + 1), repeat=r):
-            if max(abs(v) for v in vec) != shell:
-                continue
-            count += 1
-            if count > ENUMERATION_BUDGET:
-                return SolvabilityVerdict(
-                    verdict="inconclusive",
-                    eigenvalues=eigs,
-                    detail="enumeration budget exhausted before the bound was covered",
-                )
-            total = sum(v * lg for v, lg in zip(vec, logs))
-            if abs(total) <= tol:
-                found_any_relation = True
-                sign = 1
-                for v, s in zip(vec, signs):
-                    if s < 0 and v % 2 != 0:
-                        sign = -sign
-                if sign < 0:
-                    witness = complex(-1.0)
-                    return SolvabilityVerdict(
-                        verdict="not_solvable",
-                        eigenvalues=eigs,
-                        witness=witness,
-                        exponents=list(vec),
-                        detail="integer relation with odd negative part: product is -1 on the circle",
-                    )
-    if not found_any_relation:
+    negative = [x < 0 for x in distinct]
+    relations = _modulus_relations(logs, negative, exponent_bound, tol)
+    if relations is None:
+        return SolvabilityVerdict(
+            verdict="inconclusive",
+            eigenvalues=eigs,
+            detail="enumeration budget exhausted before the bound was covered",
+        )
+    for vec in relations:
+        if _odd_negative_part(vec, negative):
+            return SolvabilityVerdict(
+                verdict="not_solvable",
+                eigenvalues=eigs,
+                witness=complex(-1.0),
+                exponents=list(vec),
+                detail="integer relation with odd negative part: product is -1 on the circle",
+            )
+    if not relations:
         return solvable(f"moduli multiplicatively independent at exponent bound {exponent_bound}")
     return SolvabilityVerdict(
         verdict="inconclusive",
         eigenvalues=eigs,
         detail="modulus relations exist; no sign obstruction found within the bound",
     )
+
+
+def _modulus_relations(logs, negative, bound, tol):
+    """The integer vectors v != 0 with max|v_i| <= bound that the float test
+    abs(sum(v_i logs_i)) <= tol accepts, sorted by (max|v_i|, v).
+
+    Once a relation with an odd negative part (sum of v_i over the negative
+    entries) is found, the list is complete only up to the max-norm of the
+    first such one, which is all the witness order needs.  None when the
+    search takes more than ENUMERATION_BUDGET lattice points.
+
+    The relations are short vectors of the lattice with rows
+    (M e_i, round(M W logs_i)), M = r and W = 1/tol: the point of v has last
+    coordinate M W sum(v_i logs_i) plus a rounding error of at most
+    |v|_1 / 2.  After LLL reduction, Fincke-Pohst enumeration inside the
+    radius of the box max|v_i| <= s finds every v in that box that passes
+    the float test, and the radius shrinks to the witness's box.
+    """
+    r = len(logs)
+    if bound < 1 or not tol >= 0:  # no v passes the float test
+        return []
+    lgs = [Fraction(lg) for lg in logs]
+    # the float sum differs from the exact one by at most (r + 1) 2^-52 s sum|logs_i|
+    unit = Fraction(r + 1, 2**52) * sum(abs(lg) for lg in lgs)
+    width = max(Fraction(tol), unit)  # 1/W, positive even for tol <= 0
+
+    def radius_sq(s):
+        last = r * (1 + s * unit / width) + Fraction(r * s, 2)
+        return r * r * r * s * s + last * last
+
+    rows = lll_reduce(
+        [[r if j == i else 0 for j in range(r)] + [round(r * lg / width)] for i, lg in enumerate(lgs)]
+    )
+    coords = [[c // r for c in row[:r]] for row in rows]
+    found = []
+
+    def visit(x):
+        vec = tuple(sum(xi * c[j] for xi, c in zip(x, coords)) for j in range(r))
+        norm = max(abs(v) for v in vec)
+        if norm <= bound and abs(sum(v * lg for v, lg in zip(vec, logs))) <= tol:
+            found.append(vec)
+            if _odd_negative_part(vec, negative):
+                return radius_sq(norm)
+        return None
+
+    if short_vectors(rows, radius_sq(bound), visit, ENUMERATION_BUDGET) is None:
+        return None
+    return sorted(found, key=lambda vec: (max(abs(v) for v in vec), vec))
+
+
+def _odd_negative_part(vec, negative):
+    """The product of the eigenvalues to the powers vec has sign -1."""
+    return sum(v for v, neg in zip(vec, negative) if neg) % 2 == 1
 
 
 def jordan_tensor_blocks(lam, ell, mu, m):

@@ -67,6 +67,19 @@ def test_check_not_solvable_carries_witness(tmp_path, capsys):
     assert payload["witness"] is not None
 
 
+def test_check_exp_solvable_large_bound(tmp_path, capsys):
+    # the relation search covers the whole box max|v_i| <= 20: 41^4 vectors
+    path = tmp_path / "diag.json"
+    diag = [2.0, 3.0, -5.0, 7.0]
+    rows = [[{"re": diag[i] if i == j else 0.0, "im": 0.0} for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps({"rows": rows}))
+    code, out = run_cli(capsys, "check", "exp-solvable", "--input", str(path), "--bound", "20")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "solvable"
+    assert payload["detail"] == "moduli multiplicatively independent at exponent bound 20"
+
+
 def test_log_aut_identity_exit_zero(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text(jsonio.dumps(jsonio.aut_to_json(GradedAut.identity(2, 3))))
@@ -265,12 +278,16 @@ COMPLEX_IN_EXACT = {"n": 1, "k": 3, "backend": "exact", "A": [[{"re": 1.0, "im":
         (["check", "exp-solvable"], json.dumps({"rows": [[ZERO_DEN]]}), "DomainError"),
         (["check", "exp-solvable"], json.dumps({"rows": [[{"re": "x", "im": 0}]]}), "DomainError"),
         (["check", "exp-solvable"], json.dumps({"rows": [[{"re": None, "im": 0}]]}), "DomainError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[{"num": 1.5, "den": 1}]]}), "DomainError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[{"num": True, "den": 2}]]}), "DomainError"),
+        (["check", "exp-solvable"], json.dumps({"rows": [[{"num": 1, "den": 2.0}]]}), "DomainError"),
         (["log-unipotent"], json.dumps({"n": 1, "k": 3, "A": [[ZERO_DEN]]}), "DomainError"),
         (["log-unipotent"], json.dumps(COMPLEX_IN_EXACT), "DomainError"),
         (["log-aut"], json.dumps(COMPLEX_IN_EXACT), "DomainError"),
     ],
     ids=[
         "not-json", "zero-denominator", "string-re", "null-re",
+        "float-num", "bool-num", "float-den",
         "unipotent-zero-denominator", "unipotent-complex-in-exact", "log-aut-complex-in-exact",
     ],
 )

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from lielog import spectral
 from lielog.scalars import DomainError
 from lielog.spectral import (
     cluster_eigenvalues,
@@ -17,6 +19,8 @@ from lielog.spectral import (
     phi1_matrix,
     principal_log,
 )
+
+from util import import_perfbench, verdict_by_box_scan
 
 
 def _assert_log_of(a, log_eigs):
@@ -260,3 +264,123 @@ def test_principal_log_defective_negative_eigenvalue():
     assert np.max(np.abs(expm(out) - a)) < 1e-10
     eigs = np.linalg.eigvals(out)
     assert np.allclose(eigs.imag, math.pi)
+
+
+# ---------------------------------------------------------------------------
+# The lattice relation search against the box scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _with_box_scan(a, **kw):
+    """(verdict, box-scan verdict) as JSON, or the DomainError messages."""
+    outputs = []
+    for verdict in (eig_unit_circle_obstruction, verdict_by_box_scan):
+        try:
+            outputs.append(verdict(a, **kw).to_json())
+        except DomainError as exc:
+            outputs.append(str(exc))
+    return outputs
+
+
+def _verdict_test_matrices():
+    """Every matrix the verdict tests of the suite decide."""
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    anosov = np.array([[2.0, 1.0], [1.0, 1.0]])
+    t = 3e-5
+    small_rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    p = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    mats = [
+        np.eye(2), np.eye(3), rot, anosov, small_rot,
+        np.diag([2.0, -2.0]), np.diag([-2.0, 4.0]), np.diag([1.0, -2.0]),
+        np.diag([1.0 + 3e-5j, 2.0]), np.diag([-1.005, 100.0]), np.diag([1.0 + 5e-3j, 100.0]),
+        np.diag([1.0 + 3e-5j, 1.0 - 3e-5j, 2.0]),
+        p @ jordan_single_block(2.0, 3) @ np.linalg.inv(p),
+        p @ (np.eye(3) + np.eye(3, k=1)) @ np.linalg.inv(p),
+        np.diag([-2.0, 2.0**-9]), -anosov,
+    ]
+    rng = np.random.default_rng(7)
+    mats += [rng.normal(size=(3, 3)) for _ in range(20)]
+    return mats
+
+
+def test_lattice_search_matches_box_scan_on_the_verdict_tests():
+    for a in _verdict_test_matrices():
+        new, scan = _with_box_scan(a)
+        assert new == scan
+
+
+def test_lattice_search_matches_box_scan_on_the_generic_spectrum_pool():
+    # the nine pool matrices and three jordan3 probes of the benchmark, seed 101
+    workload = import_perfbench("workloads").GenericSpectrum()
+    cases = workload.make_pool(101) + workload.make_probes(101)
+    assert len(cases) == 12
+    for case in cases:
+        new, scan = _with_box_scan(case["A"])
+        assert new == scan
+
+
+PRIMES = (2, 3, 5)
+
+
+@st.composite
+def planted_relations(draw):
+    """Signed products of powers of three primes: four such eigenvalues
+    always have a modulus relation, and fewer often do, odd or even."""
+    r = draw(st.integers(1, 4))
+    eigs = []
+    for _ in range(r):
+        powers = draw(st.lists(st.integers(-3, 3), min_size=len(PRIMES), max_size=len(PRIMES)))
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        eigs.append(sign * math.prod(float(q) ** e for q, e in zip(PRIMES, powers)))
+    bound = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return eigs, bound, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_relations())
+def test_lattice_search_matches_box_scan_on_planted_relations(drawn):
+    eigs, bound, seed = drawn
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.normal(size=(len(eigs), len(eigs)))
+        if np.linalg.cond(p) <= 10:
+            break
+    a = p @ np.diag(eigs) @ np.linalg.inv(p)
+    new, scan = _with_box_scan(a, exponent_bound=bound)
+    assert new == scan
+
+
+def test_lattice_search_covers_boxes_beyond_the_scan_budget():
+    # the box scan gives up on these ('inconclusive' after seconds); the
+    # lattice search covers the whole box
+    v = eig_unit_circle_obstruction(np.diag([2.0, 3.0, -5.0, 7.0]), exponent_bound=20)
+    assert v.verdict == "solvable"
+    assert v.detail == "moduli multiplicatively independent at exponent bound 20"
+    v = eig_unit_circle_obstruction(np.diag([2.0, -3.0, 5.0, 7.0, 11.0, 13.0]))
+    assert v.verdict == "solvable"
+
+
+def test_lattice_search_keeps_box_scan_outputs():
+    # 2 * 3 / 6 = 1 is the only relation and has no negative part
+    v = eig_unit_circle_obstruction(np.diag([2.0, 3.0, 6.0, -5.0, 7.0]))
+    assert v.verdict == "inconclusive"
+    assert v.detail == "modulus relations exist; no sign obstruction found within the bound"
+    v = eig_unit_circle_obstruction(np.diag([-2.0, 4.0]))
+    assert (v.verdict, v.exponents) == ("inconclusive", None)
+    v = eig_unit_circle_obstruction(np.diag([2.0, -2.0]))
+    assert (v.verdict, v.exponents) == ("not_solvable", [-1, 1])
+    # (-2)^-9 (2^-9)^-1 = -1: beyond the default bound, found at bound 9
+    a = np.diag([-2.0, 2.0**-9])
+    assert eig_unit_circle_obstruction(a).verdict == "solvable"
+    v = eig_unit_circle_obstruction(a, exponent_bound=9)
+    assert (v.verdict, v.exponents) == ("not_solvable", [-9, -1])
+
+
+def test_lattice_search_budget_caps_the_work(monkeypatch):
+    # diag(-2, 4) has the relations (2k, -k), all with even negative part, so
+    # a huge bound has to enumerate them all: the budget stops it
+    monkeypatch.setattr(spectral, "ENUMERATION_BUDGET", 1000)
+    v = eig_unit_circle_obstruction(np.diag([-2.0, 4.0]), exponent_bound=10**6)
+    assert v.verdict == "inconclusive"
+    assert v.detail == "enumeration budget exhausted before the bound was covered"

@@ -6,22 +6,10 @@ through each class's own __dict__; a name removed or moved from the library
 would otherwise surface only in a benchmark run.
 """
 
-import importlib
-import sys
-from pathlib import Path
-
 from lielog.automorphisms import GradedAut
 from lielog.derivations import GradedDerivation
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def import_perfbench(name):
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(PERFBENCH))
+from util import import_perfbench
 
 
 def test_tracer_bindings_resolve():

@@ -4,9 +4,13 @@ Exact-backend samples use small integer (Fraction) coefficients so that
 identities can be asserted with equality rather than tolerance.
 """
 
+import importlib
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +24,15 @@ from lielog.scalars import (
     eye_matrix,
     matrix_max_abs,
     zeros_matrix,
+)
+from lielog.spectral import (
+    DEFAULT_TOL,
+    ENUMERATION_BUDGET,
+    RANK_TOL,
+    SolvabilityVerdict,
+    _as_complex,
+    _clusters,
+    jordan_block_sizes,
 )
 from lielog.tensor_algebra import (
     TruncatedTensor,
@@ -273,3 +286,144 @@ def inverse_by_compose(phi):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Solvability oracle
+# ---------------------------------------------------------------------------
+# The solvability verdict as it was before its relation search became a
+# lattice search: the same eigenvalue reading, then every integer vector of
+# the box max|v_i| <= exponent_bound in shells of increasing max-norm.  The
+# tests require the library's verdict to equal it wherever this scan stays
+# inside ENUMERATION_BUDGET.
+
+
+def verdict_by_box_scan(a, exponent_bound=8, tol=DEFAULT_TOL):
+    """Decide whether the eigenvalue group of A meets the unit circle only at 1.
+
+    The eigenvalue group is generated by the eigenvalues and their conjugates.
+    The tests below trust an eigenvalue to strict = 100 tol max(1, max|A_ij|).
+    A cluster of computed eigenvalues (see _clusters) that spreads wider than
+    strict is read as its centre c only when c is certified as one eigenvalue
+    of that multiplicity, the sizes from jordan_block_sizes(A, c) summing to
+    the cluster size: that is how a defective eigenvalue scatters.  Otherwise
+    its members are read as close distinct eigenvalues when all are real; a
+    member off the real axis cannot be told from a small rotation, so the
+    verdict is then at best 'inconclusive'.  A non-real eigenvalue lam gives the
+    witness lam/conj(lam) immediately.  For all-real spectra the circle
+    elements are products with vanishing total log-modulus (within tol); a
+    bounded integer search looks for one with sign -1.  The verdict is
+    three-valued: 'solvable' only when certified, 'inconclusive' when the
+    bounded search cannot decide.
+    """
+    a = _as_complex(a)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    eigs = list(np.linalg.eigvals(a))
+    if any(abs(z) < RANK_TOL * scale for z in eigs):
+        raise DomainError("matrix is singular")
+    strict = 100 * tol * scale
+    points = []
+    unresolved = False
+    for members in _clusters(eigs):
+        centre = sum(members) / len(members)
+        # a non-real centre means a non-real eigenvalue, whatever the members
+        if (max(abs(z - centre) for z in members) <= strict
+                or abs(centre.imag) > strict
+                or sum(jordan_block_sizes(a, centre)) == len(members)):
+            points.append(centre)
+        elif all(abs(z.imag) <= strict for z in members):
+            points.extend(members)
+        else:
+            unresolved = True
+
+    def solvable(detail):
+        if unresolved:
+            return SolvabilityVerdict(
+                verdict="inconclusive",
+                eigenvalues=eigs,
+                detail="close eigenvalues off the real axis: a defective real "
+                "eigenvalue or a small rotation",
+            )
+        return SolvabilityVerdict(verdict="solvable", eigenvalues=eigs, detail=detail)
+
+    for z in points:
+        if abs(z.imag) > strict:
+            witness = z / z.conjugate()
+            return SolvabilityVerdict(
+                verdict="not_solvable",
+                eigenvalues=eigs,
+                witness=witness,
+                exponents=None,
+                detail=f"non-real eigenvalue {z}: lam/conj(lam) lies on the unit circle",
+            )
+    reals = [z.real for z in points]
+    # the eigenvalue -1 is itself a witness
+    for x in reals:
+        if abs(x + 1.0) <= strict:
+            return SolvabilityVerdict(
+                verdict="not_solvable",
+                eigenvalues=eigs,
+                witness=complex(-1.0),
+                exponents=None,
+                detail=f"eigenvalue {x} lies on the unit circle and differs from 1",
+            )
+    # eigenvalues equal to 1 generate nothing, and the group depends only on
+    # the set of eigenvalues
+    distinct = []
+    for x in reals:
+        if abs(x - 1.0) > strict and all(abs(x - y) > strict for y in distinct):
+            distinct.append(x)
+    if all(x > 0 for x in distinct):
+        return solvable("all eigenvalues real and positive: circle elements are all 1")
+    logs = [math.log(abs(x)) for x in distinct]
+    signs = [1 if x > 0 else -1 for x in distinct]
+    r = len(distinct)
+    found_any_relation = False
+    count = 0
+    # search shells of increasing max-norm so minimal witnesses are reported
+    for shell in range(1, exponent_bound + 1):
+        for vec in itertools.product(range(-shell, shell + 1), repeat=r):
+            if max(abs(v) for v in vec) != shell:
+                continue
+            count += 1
+            if count > ENUMERATION_BUDGET:
+                return SolvabilityVerdict(
+                    verdict="inconclusive",
+                    eigenvalues=eigs,
+                    detail="enumeration budget exhausted before the bound was covered",
+                )
+            total = sum(v * lg for v, lg in zip(vec, logs))
+            if abs(total) <= tol:
+                found_any_relation = True
+                sign = 1
+                for v, s in zip(vec, signs):
+                    if s < 0 and v % 2 != 0:
+                        sign = -sign
+                if sign < 0:
+                    witness = complex(-1.0)
+                    return SolvabilityVerdict(
+                        verdict="not_solvable",
+                        eigenvalues=eigs,
+                        witness=witness,
+                        exponents=list(vec),
+                        detail="integer relation with odd negative part: product is -1 on the circle",
+                    )
+    if not found_any_relation:
+        return solvable(f"moduli multiplicatively independent at exponent bound {exponent_bound}")
+    return SolvabilityVerdict(
+        verdict="inconclusive",
+        eigenvalues=eigs,
+        detail="modulus relations exist; no sign obstruction found within the bound",
+    )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def import_perfbench(name):
+    """Import a module of the benchmark harness by name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
