@@ -52,7 +52,6 @@ from .logarithm import (
     LogReport,
     SolvabilityError,
     bch_series,
-    bch_single_y_kernel,
     ln_aut,
     log_unipotent,
 )

@@ -17,10 +17,10 @@ import numpy as np
 from . import jsonio
 from .derivations import exp_derivation
 from .free_lie import lyndon_basis
-from .logarithm import SolvabilityError, bch_series, bch_single_y_kernel, ln_aut, log_unipotent
+from .logarithm import SolvabilityError, bch_series, ln_aut, log_unipotent
 from .magnus import dehn_fixtures, theta_exp, total_johnson
 from .scalars import COMPLEX, EXACT, DomainError, KernelSingular, matrix_to_backend
-from .spectral import eig_unit_circle_obstruction
+from .spectral import DEFAULT_TOL, eig_unit_circle_obstruction
 
 
 def _read_json(path):
@@ -125,24 +125,13 @@ def cmd_johnson(args):
 def cmd_bch(args):
     x = jsonio.derivation_from_json(_read_json(args.x))
     y = jsonio.derivation_from_json(_read_json(args.y))
-    if args.method == "kernel":
-        deriv = bch_single_y_kernel(x.to_complex(), y.to_complex())
-        payload = {
-            "derivation": jsonio.derivation_to_json(deriv),
-            "method": "kernel",
-        }
-    else:
-        result = bch_series(x, y, order=args.order)
-        payload = {
-            "derivation": jsonio.derivation_to_json(result.derivation),
-            "method": "series",
-            "order": result.order,
-            "certified": result.certified,
-            "warning": result.warning,
-            "terms": result.terms,
-        }
+    result = bch_series(x, y)
+    payload = {
+        "derivation": jsonio.derivation_to_json(result.derivation),
+        "residual": result.residual,
+    }
     _write(payload, args.output)
-    return 0
+    return 0 if result.residual is None or result.residual <= DEFAULT_TOL else 1
 
 
 def cmd_fixtures(args):
@@ -204,8 +193,6 @@ def build_parser():
     p = sub.add_parser("bch", help="Baker-Campbell-Hausdorff combination of derivations")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--method", choices=["series", "kernel"], default="series")
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bch)
 

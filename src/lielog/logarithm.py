@@ -7,7 +7,11 @@ handles any automorphism whose degree-1 part passes the
 exponential-solvability check: it fixes the degree-1 block to the principal
 matrix logarithm and solves for the higher blocks degree by degree, inverting
 the analytic kernel (1 - e^{-z})/z of the exponential's directional
-derivative on each block.  BCH utilities cross-check the solver.
+derivative on each block.
+
+BCH, log(exp X o exp Y) for an IA Y, takes the same degree loop with the
+degree-1 block X_1 given when X is not IA.  When X is IA too, the Dynkin
+series terminates and its exact sum is the logarithm.
 
 The kernel phi1(ad X) on Hom(H, H^(x m)) is solved in the eigenbasis of the
 degree-1 block X = V diag(lam) V^-1, where ad X is diagonal with entries
@@ -46,9 +50,9 @@ from .scalars import (
     DomainError,
     KernelSingular,
     eye_matrix,
-    matrix_to_backend,
 )
 from .spectral import (
+    DEFAULT_TOL,
     POLE_TOL,
     SolvabilityVerdict,
     eig_unit_circle_obstruction,
@@ -150,22 +154,23 @@ def log_unipotent(phi):
             "converge. Use ln_aut for exponential-solvable inputs."
         )
     n, k = phi.n, phi.k
-    cap = basis_dimension(n, k) + 1
-    images = []
-    for i in range(n):
-        v = TruncatedTensor.generator(n, k, i + 1, EXACT)
-        total = TruncatedTensor.zero(n, k, EXACT)
-        for step in range(1, cap + 1):
-            v = v - phi.apply(v)  # (id - Phi)^step applied to the generator
-            if v.is_zero(0):
-                break
-            total = total - v.scale(Fraction(1, step))
-        else:
-            raise DomainError("Maclaurin series failed to terminate")
-        images.append(total)
-    deriv = extend(images)
+    deriv = extend([_maclaurin(phi, TruncatedTensor.generator(n, k, i + 1, EXACT)) for i in range(n)])
     _verify_derivation_property(deriv, phi)
     return deriv
+
+
+def _maclaurin(phi, v):
+    """-sum_i (id - Phi)^i v / i for an exact unipotent Phi, a finite sum."""
+    n, k = phi.n, phi.k
+    total = TruncatedTensor.zero(n, k, EXACT)
+    for step in range(1, basis_dimension(n, k) + 2):
+        v = v - phi.apply(v)  # (id - Phi)^step applied to the input
+        if v.is_zero(0):
+            break
+        total = total + v.scale(Fraction(-1, step))
+    else:
+        raise DomainError("Maclaurin series failed to terminate")
+    return total
 
 
 def _verify_derivation_property(deriv, phi):
@@ -177,18 +182,9 @@ def _verify_derivation_property(deriv, phi):
     n, k = phi.n, phi.k
     if k < 3:
         return
-    sample = words_of_degree(n, 2)[: min(4, n * n)]
-    cap = basis_dimension(n, k) + 1
-    for w in sample:
-        v = TruncatedTensor(n, k, {w: 1}, EXACT)
-        total = TruncatedTensor.zero(n, k, EXACT)
-        for step in range(1, cap + 1):
-            v = v - phi.apply(v)
-            if v.is_zero(0):
-                break
-            total = total + v.scale(Fraction(-1, step))
-        direct = deriv.apply(TruncatedTensor(n, k, {w: 1}, EXACT))
-        if not direct.close_to(total, 0):
+    for w in words_of_degree(n, 2)[: min(4, n * n)]:
+        word = TruncatedTensor(n, k, {w: 1}, EXACT)
+        if not deriv.apply(word).close_to(_maclaurin(phi, word), 0):
             raise DomainError(
                 "Maclaurin sum is not a derivation on the sampled words"
             )
@@ -267,7 +263,7 @@ def _solve_kernel(x_block, m, rhs, pole_tol):
     return z_block, info
 
 
-def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
+def ln_aut(phi, tol=DEFAULT_TOL, pole_tol=POLE_TOL, force=False):
     """The extended logarithm: the unique derivation D with exp(D) = Phi and
     degree-1 block the principal logarithm of Phi's degree-1 part.
 
@@ -275,9 +271,9 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
     rejected when the solvability check returns not_solvable, and when it
     returns inconclusive unless force=True; a forced run is recorded in the
     report.  Raises KernelSingular when an eigenvalue of the block ad-operator
-    falls within pole_tol of 2 pi i m (m != 0).
+    falls within pole_tol of 2 pi i m (m != 0), and DomainError unless tol is
+    finite and >= 0 and pole_tol finite and > 0.
     """
-    tol = 1e-9 if tol is None else tol
     original = phi
     phi = phi.to_complex()
     n, k = phi.n, phi.k
@@ -288,26 +284,7 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
     if verdict.verdict == "inconclusive" and not force:
         raise SolvabilityError(verdict)
 
-    x_block = principal_log(a)
-    blocks = {1: x_block}
-    phi_mat = np.asarray(phi.to_matrix(), dtype=complex)
-    trace = []
-    for m in range(2, k):
-        current = GradedDerivation(n, k, dict(blocks), COMPLEX)
-        exp_mat = scipy.linalg.expm(np.asarray(current.to_matrix(), dtype=complex))
-        residual_mat = np.linalg.solve(exp_mat, phi_mat)
-        lo, hi = _degree_rows(n, m)
-        r_block = residual_mat[lo:hi, 1 : n + 1]
-        z_block, info = _solve_kernel(x_block, m, r_block, pole_tol)
-        if np.max(np.abs(z_block)) > 0:
-            blocks[m] = z_block
-        trace.append(
-            {"degree": m, "residual_block": float(np.max(np.abs(r_block))), **info}
-        )
-
-    derivation = GradedDerivation(n, k, blocks, COMPLEX)
-    exp_final = np.asarray(exp_derivation(derivation).to_matrix(), dtype=complex)
-    residual = float(np.max(np.abs(exp_final - phi_mat)))
+    derivation, residual, trace = _solve_log(phi, principal_log(a), tol, pole_tol)
 
     hopf_flag = None
     if original.is_hopf(tol):
@@ -331,6 +308,43 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
     )
 
 
+def _solve_log(phi, x_block, tol, pole_tol):
+    """The derivation D with exp(D) = Phi and degree-1 block x_block, a
+    logarithm of Phi's degree-1 part, for a complex automorphism Phi.
+
+    Solves for the higher blocks degree by degree with _solve_kernel and
+    recomputes the residual max|exp(D) - Phi| from scratch.  Returns D, the
+    residual and the per-degree trace.  tol is only checked here: finite and
+    >= 0, as pole_tol must be finite and > 0.
+    """
+    if not (math.isfinite(tol) and tol >= 0 and math.isfinite(pole_tol) and pole_tol > 0):
+        raise DomainError(
+            f"tolerances must be finite with tol >= 0 and pole_tol > 0; got "
+            f"tol={tol}, pole_tol={pole_tol}"
+        )
+    n, k = phi.n, phi.k
+    blocks = {1: x_block}
+    phi_mat = np.asarray(phi.to_matrix(), dtype=complex)
+    trace = []
+    for m in range(2, k):
+        current = GradedDerivation(n, k, dict(blocks), COMPLEX)
+        exp_mat = scipy.linalg.expm(np.asarray(current.to_matrix(), dtype=complex))
+        residual_mat = np.linalg.solve(exp_mat, phi_mat)
+        lo, hi = _degree_rows(n, m)
+        r_block = residual_mat[lo:hi, 1 : n + 1]
+        z_block, info = _solve_kernel(x_block, m, r_block, pole_tol)
+        if np.max(np.abs(z_block)) > 0:
+            blocks[m] = z_block
+        trace.append(
+            {"degree": m, "residual_block": float(np.max(np.abs(r_block))), **info}
+        )
+
+    derivation = GradedDerivation(n, k, blocks, COMPLEX)
+    exp_final = np.asarray(exp_derivation(derivation).to_matrix(), dtype=complex)
+    residual = float(np.max(np.abs(exp_final - phi_mat)))
+    return derivation, residual, trace
+
+
 # ---------------------------------------------------------------------------
 # BCH utilities
 # ---------------------------------------------------------------------------
@@ -338,11 +352,11 @@ def ln_aut(phi, tol=None, pole_tol=POLE_TOL, force=False):
 
 @dataclass
 class BchResult:
+    """log(exp(X) o exp(Y)).  The residual max|exp(B) - exp(X) o exp(Y)| is
+    recomputed on the kernel route and None on the terminating series."""
+
     derivation: GradedDerivation
-    order: int
-    certified: bool
-    warning: str | None = None
-    terms: int = 0
+    residual: float | None
 
 
 def _dynkin_words(order, max_y):
@@ -393,25 +407,34 @@ def _dynkin_coefficient(word):
     return total / length
 
 
-def bch_series(x, y, order=None, max_y=None):
-    """Truncated Dynkin form of log(exp(X) o exp(Y)).
+def bch_series(x, y):
+    """log(exp(X) o exp(Y)) for an IA Y (exp(Y) acts first).
 
-    Y must be IA so that terms with many Y letters vanish (a bracket with
-    >= k-1 occurrences of an IA derivation raises degree past the truncation).
-    For X and Y both IA the sum with order >= k-2 is the exact logarithm.
+    For an IA X the Dynkin series terminates, since a bracket of k - 1 IA
+    derivations raises degree past the truncation; its sum over the words of
+    length <= k is the exact logarithm, on the backend of the inputs.  For a
+    non-IA X the degree-1 block of the composite is e^{X_1}, so its
+    logarithm is the extended logarithm's degree loop with the degree-1
+    block X_1 given, run on the complex backend.  X_1 may have a complex
+    spectrum; KernelSingular is raised when an ad X_1 eigenvalue falls
+    within POLE_TOL of a pole.
     """
     x._check_compatible(y)
-    n, k, backend = x.n, x.k, x.backend
-    exact_zero_tol = 0 if backend == EXACT else None
+    exact_zero_tol = 0 if x.backend == EXACT else None
     if not y.is_ia(exact_zero_tol):
         raise DomainError("bch_series requires an IA second argument")
-    both_ia = x.is_ia(exact_zero_tol)
-    if order is None:
-        order = k if both_ia else 3 * k
-    if max_y is None:
-        max_y = k - 2  # terms with >= k-1 Y letters vanish
-    letters = {"x": x, "y": y}
+    if not x.is_ia(exact_zero_tol):
+        x, y = x.to_complex(), y.to_complex()
+        phi = exp_derivation(x).compose(exp_derivation(y))
+        derivation, residual, _ = _solve_log(phi, x.d1, DEFAULT_TOL, POLE_TOL)
+        return BchResult(derivation=derivation, residual=residual)
+    return BchResult(derivation=_dynkin_sum(x, y, _dynkin_words(x.k, x.k - 2)), residual=None)
 
+
+def _dynkin_sum(x, y, words):
+    """Sum of the Dynkin terms of the given words over {x, y}: each word's
+    coefficient times its right-nested bracket of X and Y."""
+    letters = {"x": x, "y": y}
     bracket_cache = {}
 
     def nested_bracket(word):
@@ -426,53 +449,15 @@ def bch_series(x, y, order=None, max_y=None):
         bracket_cache[word] = out
         return out
 
-    total = GradedDerivation.zero(n, k, backend)
-    terms = 0
-    top_order_mag = 0.0
-    for word in _dynkin_words(order, max_y):
+    total = GradedDerivation.zero(x.n, x.k, x.backend)
+    for word in words:
         value = nested_bracket(word)
         if value.is_zero(0):
             continue
         coeff = _dynkin_coefficient(word)
         if coeff == 0:
             continue
-        if backend != EXACT:
+        if x.backend != EXACT:
             coeff = float(coeff)
         total = total + value.scale(coeff)
-        terms += 1
-        if len(word) >= order - 1:
-            top_order_mag = max(
-                top_order_mag, float(abs(coeff)) * float(value.max_abs())
-            )
-    certified = bool(both_ia and order >= k - 2)
-    warning = None
-    if not certified:
-        warning = (
-            f"series truncated at order {order}; largest top-order term "
-            f"magnitude {top_order_mag:.3e}"
-        )
-    return BchResult(
-        derivation=total, order=order, certified=certified, warning=warning, terms=terms
-    )
-
-
-def bch_single_y_kernel(x, y, pole_tol=POLE_TOL):
-    """Closed form of log(exp(X) o exp(Y)) at k = 3 via the analytic kernel.
-
-    At k = 3 every BCH term with two or more Y letters vanishes, so the
-    logarithm is X plus the kernel z/(1 - e^{-z}) of ad(X) applied to Y,
-    evaluated here by inverting (1 - e^{-z})/z on the degree-2 block
-    (convention pinned against bch_series: compose means exp(Y) acts first).
-    X must have only a degree-1 block and Y must be IA.
-    """
-    x._check_compatible(y)
-    if x.k != 3:
-        raise DomainError("the single-Y kernel form is specific to k = 3")
-    if any(m != 1 for m in x.d):
-        raise DomainError("X must have only a degree-1 block")
-    if not y.is_ia(0 if y.backend == EXACT else None):
-        raise DomainError("Y must be IA")
-    x1 = np.asarray(matrix_to_backend(x.d1, COMPLEX), dtype=complex)
-    y2 = np.asarray(matrix_to_backend(y.block(2), COMPLEX), dtype=complex)
-    z_block, _ = _solve_kernel(x1, 2, y2, pole_tol)
-    return GradedDerivation(x.n, 3, {1: x1, 2: z_block}, COMPLEX)
+    return total

@@ -262,8 +262,14 @@ def eig_unit_circle_obstruction(a, exponent_bound=8, tol=DEFAULT_TOL):
     by (max|v_i|, v), the order of a scan of the box in shells.  The verdict
     is three-valued: 'solvable' only when certified, 'inconclusive' when
     relations exist but none is odd within the bound, or when the search
-    would enumerate more than ENUMERATION_BUDGET lattice points.
+    would enumerate more than ENUMERATION_BUDGET lattice points.  Raises
+    DomainError unless exponent_bound is an int >= 1 and tol is finite and
+    >= 0.
     """
+    if not (isinstance(exponent_bound, int) and exponent_bound >= 1):
+        raise DomainError(f"exponent_bound must be an integer >= 1; got {exponent_bound!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0; got {tol!r}")
     a = _as_complex(a)
     scale = max(1.0, float(np.max(np.abs(a))))
     eigs = list(np.linalg.eigvals(a))
@@ -367,12 +373,10 @@ def _modulus_relations(logs, negative, bound, tol):
     the float test, and the radius shrinks to the witness's box.
     """
     r = len(logs)
-    if bound < 1 or not tol >= 0:  # no v passes the float test
-        return []
     lgs = [Fraction(lg) for lg in logs]
     # the float sum differs from the exact one by at most (r + 1) 2^-52 s sum|logs_i|
     unit = Fraction(r + 1, 2**52) * sum(abs(lg) for lg in lgs)
-    width = max(Fraction(tol), unit)  # 1/W, positive even for tol <= 0
+    width = max(Fraction(tol), unit)  # 1/W, positive even for tol = 0
 
     def radius_sq(s):
         last = r * (1 + s * unit / width) + Fraction(r * s, 2)

@@ -17,7 +17,7 @@ import numpy as np
 from lielog.automorphisms import GradedAut, matrix_inverse
 from lielog.derivations import GradedDerivation, exp_derivation
 from lielog.free_lie import omega_tensor
-from lielog.logarithm import bch_series, bch_single_y_kernel, ln_aut, log_unipotent
+from lielog.logarithm import bch_series, ln_aut, log_unipotent
 from lielog.magnus import dehn_fixtures, theta_exp, total_johnson
 from lielog.scalars import (
     COMPLEX,
@@ -36,6 +36,7 @@ from lielog.spectral import (
 )
 
 from util import (
+    dynkin_bch,
     kron_power,
     random_block,
     random_ia_aut,
@@ -289,8 +290,9 @@ def test_criterion_5_composition_formula():
 
 
 def test_criterion_6_bch_kernel_vs_series():
-    """At k = 3 the closed single-Y kernel agrees with the Dynkin series to
-    1e-10 on 50 instances; the convention is recorded in a fixture."""
+    """At k = 3 BCH of a non-IA X by the kernel solve agrees with the Dynkin
+    series to 1e-10 on 50 instances; the convention is recorded in a
+    fixture."""
     np_rng = np.random.default_rng(106)
     worst = 0.0
     for _ in range(50):
@@ -304,14 +306,14 @@ def test_criterion_6_bch_kernel_vs_series():
         x = GradedDerivation(2, 3, {1: x1}, backend=COMPLEX)
         y2 = (np_rng.normal(size=(4, 2)) + 1j * np_rng.normal(size=(4, 2))) * 0.5
         y = GradedDerivation(2, 3, {2: y2}, backend=COMPLEX)
-        kern = bch_single_y_kernel(x, y)
-        ser = bch_series(x, y, order=32)
+        kern = bch_series(x, y).derivation
+        ser = dynkin_bch(x, y, order=32)
         diff = max(
             float(
                 np.max(
                     np.abs(
                         np.asarray(kern.block(m), dtype=complex)
-                        - np.asarray(ser.derivation.block(m), dtype=complex)
+                        - np.asarray(ser.block(m), dtype=complex)
                     )
                 )
             )

@@ -170,6 +170,47 @@ def test_log_aut_impossible_tolerance_exit_one(tmp_path, capsys):
     assert out_path.exists()  # report still written on verification failure
 
 
+# Out-of-range tolerances and bounds are rejected, not turned into a verdict
+# or a "verified" report.  diag(-2, 2) is not solvable (2/2 = 1 with odd
+# negative part); at pole_tol <= 0 the splitting of diag(-2, -8) would be
+# solved at kernel margin 4e-16 (3 log(-2) - log(-8) = 2 pi i).
+_ROTATION = [[0.0, -1.0], [1.0, 0.0]]
+_MIXED = [[-2.0, 0.0], [0.0, 2.0]]
+_ANOSOV = GradedAut.splitting(np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex), 3)
+_POLE = GradedAut.splitting(np.diag([-2.0, -8.0]).astype(complex), 4)
+BAD_TOLERANCES = [
+    ("check", _ROTATION, ["--tol", "nan"]),
+    ("check", _ROTATION, ["--tol", "inf"]),
+    ("check", _ROTATION, ["--tol", "-1"]),
+    ("check", _MIXED, ["--bound", "0"]),
+    ("check", _MIXED, ["--bound", "-1"]),
+    ("log-aut", _ANOSOV, ["--tol", "inf"]),
+    ("log-aut", _ANOSOV, ["--tol", "nan"]),
+    ("log-aut", _ANOSOV, ["--tol", "-1"]),
+    ("log-aut", _POLE, ["--force", "--pole-tol", "nan"]),
+    ("log-aut", _POLE, ["--force", "--pole-tol", "-1"]),
+    ("log-aut", _POLE, ["--force", "--pole-tol", "0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,data,flags", BAD_TOLERANCES,
+    ids=[f"{c}{''.join(f)}" for c, _, f in BAD_TOLERANCES],
+)
+def test_out_of_range_tolerances_exit_two(tmp_path, capsys, command, data, flags):
+    path = tmp_path / "input.json"
+    if command == "check":
+        rows = [[{"re": v, "im": 0.0} for v in row] for row in data]
+        path.write_text(json.dumps({"rows": rows}))
+        argv = ["check", "exp-solvable", "--input", str(path)]
+    else:
+        path.write_text(jsonio.dumps(jsonio.aut_to_json(data)))
+        argv = ["log-aut", "--input", str(path)]
+    code, out = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_log_unipotent_cli_recomputes_residual(tmp_path, capsys, monkeypatch):
     phi = random_ia_hopf_aut(seeded(3), 2, 4)
     assert not phi.is_identity(0)
@@ -232,7 +273,7 @@ def test_johnson_cli(tmp_path, capsys):
 
 
 def test_bch_cli_series_and_kernel(tmp_path, capsys):
-    from util import random_ia_derivation
+    from util import dynkin_bch, random_ia_derivation
 
     rng = seeded(4)
     x = GradedDerivation(
@@ -243,20 +284,12 @@ def test_bch_cli_series_and_kernel(tmp_path, capsys):
     yp = tmp_path / "y.json"
     xp.write_text(jsonio.dumps(jsonio.derivation_to_json(x)))
     yp.write_text(jsonio.dumps(jsonio.derivation_to_json(y)))
-    code, out = run_cli(
-        capsys, "bch", "--x", str(xp), "--y", str(yp), "--method", "kernel"
-    )
+    code, out = run_cli(capsys, "bch", "--x", str(xp), "--y", str(yp))
     assert code == 0
-    kernel_payload = json.loads(out)
-    code, out = run_cli(
-        capsys,
-        "bch", "--x", str(xp), "--y", str(yp), "--method", "series", "--order", "24",
-    )
-    assert code == 0
-    series_payload = json.loads(out)
-    dk = jsonio.derivation_from_json(kernel_payload["derivation"])
-    ds = jsonio.derivation_from_json(series_payload["derivation"])
-    assert dk.close_to(ds, 1e-9)
+    payload = json.loads(out)
+    assert payload["residual"] <= 1e-9
+    dk = jsonio.derivation_from_json(payload["derivation"])
+    assert dk.close_to(dynkin_bch(x, y, order=24), 1e-9)
 
 
 def test_fixtures_cli(capsys):

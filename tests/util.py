@@ -17,6 +17,7 @@ import numpy as np
 from lielog.automorphisms import GradedAut, matrix_inverse
 from lielog.derivations import GradedDerivation, extend
 from lielog.free_lie import LiePoly, lyndon_basis, lyndon_bracket_tensor
+from lielog.logarithm import _dynkin_sum, _dynkin_words
 from lielog.scalars import (
     EXACT,
     DimensionMismatch,
@@ -286,6 +287,16 @@ def inverse_by_compose(phi):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+def dynkin_bch(x, y, order, max_y=None):
+    """The Dynkin series of log(exp X o exp Y) for an IA Y, summed over the
+    words of length <= order with at most max_y letters y (default k - 2:
+    brackets with k - 1 IA letters vanish).  For a non-IA X the series does
+    not terminate, and its tail falls like (max|ad X| / 2 pi)^order; it is
+    the reference for bch_series' kernel route."""
+    x._check_compatible(y)
+    return _dynkin_sum(x, y, _dynkin_words(order, x.k - 2 if max_y is None else max_y))
 
 
 # ---------------------------------------------------------------------------
